@@ -17,7 +17,7 @@ import sys
 
 from .algebra import (SymmetryMode, degreewise_expand, presentation_from_json,
                       presentation_to_json)
-from .graded import associated_graded, pbw_verdict
+from .graded import MonomialTruncation, pbw_verdict
 from .graphs import algebra_verdict, graph_from_truncation
 from .homology import koszul_scan, tor_algebra
 from .models import (LocalCase, build_annihilator, build_global_general,
@@ -66,7 +66,7 @@ def _load_algebra(obj: dict, n_max: int):
             return degreewise_expand(presentation_from_json(obj), n_max), None
     except InputError:
         raise
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise InputError(f"malformed input: {e}") from e
     raise InputError("input must contain either 'relations' or 's_places'")
 
@@ -90,7 +90,7 @@ def cmd_check(args) -> int:
     bound_i, bound_j = args.max_i, args.max_j
 
     pbw = pbw_verdict(a)
-    g = associated_graded(a)
+    g = MonomialTruncation(a.order, a.mode, a.n_max, pbw.certificate)
     graph_applies = a.mode is SymmetryMode.SUPERCOMMUTATIVE \
         and a.dims[3:] == [0] * (a.n_max - 2)
     graph_koszul = None

@@ -3,6 +3,19 @@
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays; the sparse path keeps rows as dicts and is only
 worth it above a size threshold (small matrices are faster dense).
+
+The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
+most l - 1 < 2^16 in absolute value, so a single product of two entries
+fits in 32 bits and an int64 contraction (a dot product, `@`, or the
+np.outer update of an elimination step) of up to 2^31 terms is exact.
+Chained products are reduced mod l between their factors, so that every
+contraction starts from reduced operands.
+
+Large products go through `matmul`, which multiplies in float64 with BLAS
+and is exact under the same kind of argument: with inner dimension k, every
+partial sum is an integer of absolute value at most k (l - 1)^2, and every
+integer below 2^53 is a float64.  Below MAX_MODULUS that holds for every
+k < 2^21; `matmul` checks it and raises rather than round.
 """
 
 from __future__ import annotations
@@ -12,6 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DENSE_THRESHOLD = 64
+
+# (MAX_MODULUS - 1)^2 < 2^32, so 2^31 products of reduced entries sum to
+# less than 2^63: int64 contractions are exact without any cap on dimensions.
+MAX_MODULUS = 2 ** 16
 
 
 def _is_prime(n: int) -> bool:
@@ -34,6 +51,8 @@ class PrimeField:
     l: int
 
     def __post_init__(self) -> None:
+        if self.l >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.l} is too large: l must be below {MAX_MODULUS}")
         if not _is_prime(self.l):
             raise ValueError(f"modulus {self.l} is not prime")
 
@@ -81,9 +100,58 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
+    """Rank mod p by forward elimination only.
+
+    Each pivot row is swapped into place and scaled, and only the trailing
+    block (rows below the pivot, columns from the pivot on) is updated;
+    there is no back-substitution.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
     if a.size == 0:
         return 0
-    return rref(a, p)[0].shape[0]
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        rows = r + 1 + np.flatnonzero(a[r + 1:, c])
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, exactly, through a float64 BLAS product.
+
+    The operands must be reduced mod p (entries of absolute value at most
+    p - 1).  With inner dimension k, each product of two entries is an
+    integer of absolute value at most (p - 1)^2, and each partial sum that
+    BLAS forms, in whatever order it adds and whether or not it fuses a
+    multiply with an add, is a sum of some of these products: an integer of
+    absolute value at most k (p - 1)^2.  When k (p - 1)^2 < 2^53 every such
+    integer is a float64, so no step rounds and the result is the exact
+    integer product, which is then reduced mod p in int64.  A larger k
+    raises ValueError instead of rounding.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"float64 product mod {p} is not exact with inner dimension {k}")
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return prod.astype(np.int64) % p
+
+
+def bilinear(u: np.ndarray, gram: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """u @ gram @ v mod p, reduced between the factors so that each int64
+    contraction starts from entries reduced mod p."""
+    return (((u @ gram) % p) @ v) % p
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

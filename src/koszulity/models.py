@@ -299,7 +299,7 @@ class GlobalSymbolDatum:
         for i, sp in enumerate(self.s_places):
             if sp.kind == "complex" or not sp.flagged:
                 continue
-            out.append(int(g.images[i] @ sp.gram @ h.images[i]) % p)
+            out.append(int(gf.bilinear(g.images[i], sp.gram, h.images[i], p)))
         for op in self.outside_places:
             if not op.flagged:
                 continue
@@ -363,7 +363,7 @@ class GlobalSymbolDatum:
         if self.lagrangian is not None:
             lag = np.asarray(self.lagrangian, dtype=np.int64) % p
             big = self.block_gram()
-            if ((lag @ big @ lag.T) % p).any():
+            if gf.bilinear(lag, big, lag.T, p).any():
                 errors.append("declared Lagrangian is not isotropic")
             span = RowSpan(big.shape[0], p)
             for row in lag:
@@ -509,7 +509,7 @@ def _complete_frobs(raw, outside_order: list[str], big_gram: np.ndarray,
     default 0) and the one at the later place is determined.
     """
     def pair(u, v):
-        return int(u @ big_gram @ v) % p
+        return int(gf.bilinear(u, big_gram, v, p))
 
     pos = {t: i for i, t in enumerate(outside_order)}
     frobs: dict[str, dict[str, int]] = {label: {} for label, _, _ in raw}
@@ -597,7 +597,7 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
         lag = random_lagrangian(w, rng.randrange(1 << 30))
         ms = lagrangian_transversal(w, lag)
         mrows = np.array([m.basis[0] for m in ms], dtype=np.int64)
-        pairing = (lag.basis @ w.gram @ mrows.T) % l
+        pairing = gf.bilinear(lag.basis, w.gram, mrows.T, l)
         if gf.rank(pairing, l) < s:
             continue
         brows = (gf.inverse(pairing, l) @ lag.basis) % l
@@ -625,7 +625,7 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
             raw.append((f"a_r{k}", img, t))
 
         def pair(u, v):
-            return int(u @ w.gram @ v) % l
+            return int(gf.bilinear(u, w.gram, v, l))
 
         img_of = {label: vec for label, vec, _ in raw}
         free: dict[tuple[str, str], int] = {}
@@ -762,7 +762,7 @@ def _build_unit_lagrangian(spl, rng, p, c_vec=None):
         span.add(z)
         k_plus.append(z)
     lag = span.matrix()
-    if ((lag @ big @ lag.T) % p).any():
+    if gf.bilinear(lag, big, lag.T, p).any():
         return None
     return minus1, a_vs, k_plus, lag
 
@@ -777,7 +777,7 @@ def _pick_w_u(sp: SPlace, off: int, k_plus, rng, p: int) -> np.ndarray | None:
             z = (z + rng.randrange(p) * row) % p
         if not z.any():
             continue
-        if any(int(k[off:off + sp.dim] @ sp.gram @ z) % p for k in k_plus):
+        if any(gf.bilinear(k[off:off + sp.dim], sp.gram, z, p) for k in k_plus):
             return z
     return None
 
@@ -1033,8 +1033,8 @@ def datum_from_json(obj: dict) -> GlobalSymbolDatum:
     s_places = [
         SPlace(sp["label"], sp.get("kind", "nonarch"),
                np.array(sp["gram"], dtype=np.int64).reshape(
-                   len(sp["minus1"]), len(sp["minus1"])),
-               np.array(sp["minus1"], dtype=np.int64),
+                   len(sp["minus1"]), len(sp["minus1"])) % fld.l,
+               np.array(sp["minus1"], dtype=np.int64) % fld.l,
                bool(sp.get("flagged", True)))
         for sp in obj["s_places"]
     ]
@@ -1042,7 +1042,7 @@ def datum_from_json(obj: dict) -> GlobalSymbolDatum:
                for op in obj["outside_places"]]
     gens = [
         DatumGenerator(g["label"],
-                       [np.array(v, dtype=np.int64) for v in g["images"]],
+                       [np.array(v, dtype=np.int64) % fld.l for v in g["images"]],
                        {t: int(e) for t, e in g.get("ord", {}).items()},
                        {t: int(e) for t, e in g.get("frob", {}).items()})
         for g in obj["generators"]
@@ -1052,6 +1052,6 @@ def datum_from_json(obj: dict) -> GlobalSymbolDatum:
     return GlobalSymbolDatum(
         fld, bool(obj.get("sqrt_minus1", False)), s_places, outside, gens,
         reciprocity=bool(obj.get("reciprocity", True)),
-        lagrangian=None if lag is None else np.array(lag, dtype=np.int64),
-        minus1_coeffs=None if m1 is None else np.array(m1, dtype=np.int64),
+        lagrangian=None if lag is None else np.array(lag, dtype=np.int64) % fld.l,
+        minus1_coeffs=None if m1 is None else np.array(m1, dtype=np.int64) % fld.l,
     )

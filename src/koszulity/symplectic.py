@@ -49,7 +49,7 @@ class BilinearSpace:
                         raise ValueError("summands are not orthogonal")
 
     def pair(self, u: np.ndarray, v: np.ndarray) -> int:
-        return int(np.asarray(u) @ self.gram @ np.asarray(v)) % self.fld.l
+        return int(gf.bilinear(np.asarray(u), self.gram, np.asarray(v), self.fld.l))
 
     def is_nondegenerate(self) -> bool:
         return gf.rank(self.gram, self.fld.l) == self.dim
@@ -98,7 +98,7 @@ class Subspace:
 
     def is_isotropic(self) -> bool:
         w = self.ambient
-        return not ((self.basis @ w.gram @ self.basis.T) % w.fld.l).any()
+        return not gf.bilinear(self.basis, w.gram, self.basis.T, w.fld.l).any()
 
     def contains(self, v: np.ndarray) -> bool:
         return gf.solve_combination(self.basis, v, self.ambient.fld.l) is not None

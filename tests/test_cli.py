@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,14 @@ class TestCheck:
         assert obj["verdict"] == "koszul"
         assert obj["agreement"] == "AGREE"
 
+    def test_entry_beyond_int64(self, capsys, tmp_path):
+        obj = triangle_datum()
+        obj["s_places"][0]["gram"][0][1] = 2 ** 64
+        path = write_json(tmp_path, "big.json", obj)
+        code, _, err = run(capsys, "check", path)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_json(self, capsys, monkeypatch):
         code, _, err = run(capsys, "check", "-", stdin="not json",
                            monkeypatch=monkeypatch)
@@ -199,3 +208,28 @@ def test_no_disagreement_across_sweep(capsys, monkeypatch):
             code, _, _ = run(capsys, "check", "-", stdin=out,
                              monkeypatch=monkeypatch)
             assert code != EXIT_DISAGREE
+
+
+# 2^32 + 15 and 2^64 - 59 are prime: above the bound, int64 products
+# overflow, and trial division of the larger one would not finish in useful time
+LARGE_PRIMES = ["4294967311", "18446744073709551557"]
+
+
+@pytest.mark.parametrize("l", LARGE_PRIMES)
+@pytest.mark.parametrize("command", ["gen", "check", "tor"])
+def test_modulus_above_bound_exits_2(capsys, monkeypatch, command, l):
+    if command == "gen":
+        argv = ["gen", "local", "--case", "symplectic", "--dim", "2", "--l", l]
+        stdin = None
+    else:
+        argv = [command, "-"]
+        stdin = json.dumps({"l": int(l), "mode": "super",
+                            "generators": ["x0", "x1"], "relations": []})
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert time.monotonic() - start < 5
+    assert code == EXIT_INPUT
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "too large" in lines[0] and "Traceback" not in err

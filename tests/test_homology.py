@@ -9,6 +9,7 @@ import pytest
 from koszulity.algebra import (ModuleTruncation, SymmetryMode,
                                augmentation_module, degreewise_expand,
                                free_algebra, ideal_module)
+from koszulity import gf, homology
 from koszulity.gf import PrimeField
 from koszulity.graded import associated_graded, monomial_algebra, pbw_verdict
 from koszulity.graphs import cycle_graph, graph_algebra
@@ -206,6 +207,72 @@ class TestInvariants:
             if d:
                 assert i <= j
         assert t.entry(0, 0) == 1
+
+
+def _corrupt(d, lower, p):
+    """d with one entry changed so that lower @ d is no longer zero: the
+    entry sits in a row that meets a nonzero column of lower."""
+    r = int(np.flatnonzero(lower.any(axis=0))[0])
+    d = d.copy()
+    d[r, 0] = (d[r, 0] + 1) % p
+    return d
+
+
+class TestCorruptedDifferential:
+    """Every d^2=0 check is a full exact product, so one wrong entry in one
+    differential is always caught."""
+
+    def test_dense_bar(self, monkeypatch):
+        a = polynomial_algebra(2, l=3, n_max=3)
+        build = homology._DenseBar.differential
+
+        def corrupted(bar, i):
+            d = build(bar, i)
+            if bar.j == 3 and i == 3:
+                d = _corrupt(d, build(bar, 2), bar.p)
+            return d
+
+        homology._bar_dense_table(a, None, 3, 3)
+        monkeypatch.setattr(homology._DenseBar, "differential", corrupted)
+        with pytest.raises(AssertionError, match=r"d\^2=0"):
+            homology._bar_dense_table(a, None, 3, 3)
+
+    def test_split_bar(self, monkeypatch):
+        a = polynomial_algebra(2, l=3, n_max=3)
+        build = homology._split_block_diff
+        previous = {}
+
+        def corrupted(st, src, tgt, module):
+            # blocks of one multidegree come in order of i, so the block
+            # built just before d_3 is d_2 of the same multidegree
+            d = build(st, src, tgt, module)
+            if src and len(src[0]) == 3 and previous["d"].any():
+                d = _corrupt(d, previous["d"], st.p)
+            previous["d"] = d
+            return d
+
+        bar_tor_algebra(a, 3, 3)
+        monkeypatch.setattr(homology, "_split_block_diff", corrupted)
+        with pytest.raises(AssertionError, match=r"d\^2=0"):
+            bar_tor_algebra(a, 3, 3)
+
+    def test_koszul_complex(self, monkeypatch):
+        lam = exterior_algebra(3, l=3, n_max=3)
+        m = augmentation_module(lam, lam)
+        build = homology._koszul_complex_diff
+
+        def corrupted(lam, m, i, j):
+            d = build(lam, m, i, j)
+            if i == 2 and j == 3:
+                lower = build(lam, m, 1, j).to_dense()
+                d = gf.SparseMatrixGF.from_dense(
+                    _corrupt(d.to_dense(), lower, lam.fld.l), lam.fld)
+            return d
+
+        koszul_tor_module(lam, m, 3, 3)
+        monkeypatch.setattr(homology, "_koszul_complex_diff", corrupted)
+        with pytest.raises(AssertionError, match=r"d\^2=0"):
+            koszul_tor_module(lam, m, 3, 3)
 
 
 class TestTableFormats:
