@@ -177,18 +177,32 @@ def presentation_to_json(pres: QuadraticPresentation) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def presentation_from_json(obj: dict) -> QuadraticPresentation:
-    fld = PrimeField(int(obj["l"]))
+    fld = PrimeField(_json_int(obj["l"], "l"))
     mode = SymmetryMode(obj["mode"])
-    order = GeneratorOrder(tuple(obj["generators"]))
+    names, rels = obj["generators"], obj["relations"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise TypeError("generators must be a list of strings")
+    if not isinstance(rels, list) or not all(
+            isinstance(rel, list) and all(isinstance(t, dict) for t in rel) for rel in rels):
+        raise TypeError("relations must be a list of lists of objects")
+    order = GeneratorOrder(tuple(names))
     combos: list[dict[Monomial, int]] = []
-    for rel in obj["relations"]:
+    for rel in rels:
         combo: dict[Monomial, int] = {}
         for term in rel:
+            if not isinstance(term["mono"], str):
+                raise TypeError(f"relation term {term['mono']!r} is not a string")
             m = Monomial.parse(term["mono"], order)
             if m.degree != 2:
                 raise ValueError(f"relation term {term['mono']!r} is not quadratic")
-            combo[m] = (combo.get(m, 0) + int(term["coef"])) % fld.l
+            combo[m] = (combo.get(m, 0) + _json_int(term["coef"], "coef")) % fld.l
         combos.append(combo)
     return QuadraticPresentation.from_combos(fld, mode, order, combos)
 
@@ -245,7 +259,15 @@ class DegreewiseAlgebra:
         return v
 
     def word_basis(self, n: int) -> tuple[list[Monomial], np.ndarray]:
-        """Invlex-least monomial words whose values form a basis of A_n."""
+        """Invlex-least monomial words whose values form a basis of A_n, and
+        the coordinates of the basis of A_n in them.
+
+        This is also the PBW survivor scan: a word is kept exactly when its
+        value leaves the span of the values of all smaller words, so the words
+        are the basis of gr^F A_n.  Row i of the coordinate matrix writes the
+        basis vector e_i as a combination of the word values (coordinates @
+        values = I mod l).
+        """
         if n in self._word_cache:
             return self._word_cache[n]
         span = RowSpan(self.dims[n], self.fld.l)
@@ -259,54 +281,51 @@ class DegreewiseAlgebra:
                 words.append(mono)
                 vals.append(v)
         if span.dim != self.dims[n]:
-            raise ValueError(f"A_{n} is not generated in degree 1")
-        mat = np.array(vals, dtype=np.int64) if vals else np.zeros((0, self.dims[n]), dtype=np.int64)
-        self._word_cache[n] = (words, mat)
+            raise ValueError(f"A_{n} is not spanned by monomials in the generators")
+        values = np.array(vals, dtype=np.int64).reshape(len(vals), self.dims[n])
+        self._word_cache[n] = (words, gf.inverse(values, self.fld.l))
         return self._word_cache[n]
-
-    def right_mul_generator(self, vec: np.ndarray, n: int, g: int) -> np.ndarray:
-        """vec * x_g for vec in A_n."""
-        out = self.apply_generator(g, n, vec)
-        if self.mode is SymmetryMode.SUPERCOMMUTATIVE and n % 2 == 1:
-            out = (-out) % self.fld.l
-        return out
 
     def element_product(self, u: np.ndarray, n: int, v: np.ndarray, m: int) -> np.ndarray:
         """Product of u in A_n and v in A_m, landing in A_(n+m)."""
         if n + m > self.n_max:
             raise ValueError("degree overflow past the truncation bound")
-        if m == 0:
-            return (u * int(v[0])) % self.fld.l
-        if n == 0:
-            return (v * int(u[0])) % self.fld.l
-        words, mat = self.word_basis(m)
-        coeffs = gf.solve_combination(mat, v, self.fld.l)
-        out = np.zeros(self.dims[n + m], dtype=np.int64)
-        for w, c in zip(words, coeffs):
-            if not c:
-                continue
-            r = u
-            d = n
-            for g in w.word():
-                r = self.right_mul_generator(r, d, g)
-                d += 1
-            out = (out + int(c) * r) % self.fld.l
-        return out
+        p = self.fld.l
+        mult = self.mult_matrix(n, m).reshape(self.dims[n + m], self.dims[n], self.dims[m])
+        return (((mult @ (np.asarray(v, dtype=np.int64) % p)) % p)
+                @ (np.asarray(u, dtype=np.int64) % p)) % p
 
     def mult_matrix(self, d: int, e: int) -> np.ndarray:
         """Matrix of A_d x A_e -> A_(d+e); column index = i_d * dims[e] + i_e."""
         key = (d, e)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
-        rows, cols = self.dims[d + e], self.dims[d] * self.dims[e]
-        out = np.zeros((rows, cols), dtype=np.int64)
-        eye_d = np.eye(self.dims[d], dtype=np.int64)
-        eye_e = np.eye(self.dims[e], dtype=np.int64)
-        for i in range(self.dims[d]):
-            for j in range(self.dims[e]):
-                out[:, i * self.dims[e] + j] = self.element_product(eye_d[i], d, eye_e[j], e)
-        self._mult_cache[key] = out
-        return out
+        if key not in self._mult_cache:
+            self._mult_cache[key] = word_action(self, self.gen_action, self.dims, d, e)
+        return self._mult_cache[key]
+
+
+def word_action(a: DegreewiseAlgebra, action, dims: list[int], d: int, n: int) -> np.ndarray:
+    """Matrix of A_d x X_n -> X_(n+d) for a graded space X on which the
+    generators act by action[n][g]: X_n -> X_(n+1).  Column index =
+    i_d * dims[n] + i_n.
+
+    Each word of a.word_basis(d) acts as the composite of its generator
+    matrices, and basis vector i of A_d as the combination of these composites
+    given by row i of the word coordinates.  When X is A itself, associativity
+    makes this the product e_i * f_j, so no supercommutative sign enters.
+    """
+    p = a.fld.l
+    words, coords = a.word_basis(d)
+    composites = np.zeros((len(words), dims[n + d], dims[n]), dtype=np.int64)
+    for k, w in enumerate(words):
+        # left action of the word g1 g2 ... gd: apply gd first
+        m = np.eye(dims[n], dtype=np.int64)
+        deg = n
+        for g in reversed(w.word()):
+            m = (action[deg][g] @ m) % p
+            deg += 1
+        composites[k] = m
+    blocks = np.tensordot(coords, composites, axes=(1, 0)) % p
+    return blocks.transpose(1, 0, 2).reshape(dims[n + d], a.dims[d] * dims[n])
 
 
 def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra:
@@ -366,28 +385,7 @@ class ModuleTruncation:
 
     def action_matrix(self, d: int, n: int) -> np.ndarray:
         """Matrix of A_d x M_n -> M_(n+d); column index = i_d * dims[n] + i_n."""
-        a = self.algebra
-        p = a.fld.l
-        out = np.zeros((self.dims[n + d], a.dims[d] * self.dims[n]), dtype=np.int64)
-        if d == 0:
-            return np.eye(self.dims[n], dtype=np.int64)
-        words, mat = a.word_basis(d)
-        eye = np.eye(a.dims[d], dtype=np.int64)
-        for i in range(a.dims[d]):
-            coeffs = gf.solve_combination(mat, eye[i], p)
-            block = np.zeros((self.dims[n + d], self.dims[n]), dtype=np.int64)
-            for w, c in zip(words, coeffs):
-                if not c:
-                    continue
-                # left action of the word g1 g2 ... gd: apply gd first
-                m = np.eye(self.dims[n], dtype=np.int64)
-                deg = n
-                for g in reversed(w.word()):
-                    m = (self.action[deg][g] @ m) % p
-                    deg += 1
-                block = (block + int(c) * m) % p
-            out[:, i * self.dims[n]:(i + 1) * self.dims[n]] = block
-        return out
+        return word_action(self.algebra, self.action, self.dims, d, n)
 
 
 def augmentation_module(a: DegreewiseAlgebra, b: DegreewiseAlgebra) -> ModuleTruncation:

@@ -71,7 +71,15 @@ def _load_algebra(obj: dict, n_max: int):
     raise InputError("input must contain either 'relations' or 's_places'")
 
 
+def _check_window(args) -> None:
+    for flag in ("max_i", "max_j", "max_n"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise InputError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
+
+
 def cmd_tor(args) -> int:
+    _check_window(args)
     obj = _read_json(args.input)
     n_max = max(args.max_n or 0, args.max_j, 2)
     a, _ = _load_algebra(obj, n_max)
@@ -84,6 +92,7 @@ def cmd_tor(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _check_window(args)
     obj = _read_json(args.input)
     n_max = max(args.max_n or 0, args.max_j, 3)
     a, _ = _load_algebra(obj, n_max)

@@ -200,11 +200,6 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return red[:, n:]
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a @ x = b mod p, or None."""
-    return solve_combination(np.asarray(a, dtype=np.int64).T, b, p)
-
-
 class RowSpan:
     """Incremental row space mod p, kept in reduced echelon form."""
 
@@ -291,21 +286,6 @@ class SparseMatrixGF:
             a[i, j] = v % self.field.l
         return a
 
-    def transpose(self) -> "SparseMatrixGF":
-        return SparseMatrixGF(
-            self.field, self.cols, self.rows,
-            tuple((j, i, v) for i, j, v in self.entries),
-        )
-
-    def rank(self) -> int:
-        return sparse_rank(self)
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        return kernel_basis(self)
-
-    def in_row_space(self, v) -> bool:
-        return in_row_space(self, v)
-
     def _row_dicts(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
         for i, j, v in self.entries:
@@ -347,24 +327,11 @@ def _sparse_rank(m: SparseMatrixGF) -> int:
     return rnk
 
 
-def sparse_rank(m: SparseMatrixGF, dense_threshold: int = DENSE_THRESHOLD) -> int:
+def sparse_rank(m: SparseMatrixGF) -> int:
     """Rank of m over F_l; falls back to dense elimination when small."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.rows <= dense_threshold and m.cols <= dense_threshold:
+    if m.rows <= DENSE_THRESHOLD and m.cols <= DENSE_THRESHOLD:
         return rank(m.to_dense(), m.field.l)
     return _sparse_rank(m)
 
-
-def kernel_basis(m: SparseMatrixGF) -> list[np.ndarray]:
-    """Basis of the right kernel of m; len = cols - rank."""
-    ns = nullspace(m.to_dense(), m.field.l)
-    return [ns[i] for i in range(ns.shape[0])]
-
-
-def in_row_space(m: SparseMatrixGF, v) -> bool:
-    """True iff v lies in the F_l-span of the rows of m."""
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape != (m.cols,):
-        raise ValueError(f"vector has {v.shape} entries, matrix has {m.cols} cols")
-    return solve_combination(m.to_dense(), v, m.field.l) is not None

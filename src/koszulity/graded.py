@@ -47,18 +47,7 @@ class PBWVerdict:
 
 def surviving_monomials(a: DegreewiseAlgebra, n: int) -> list[Monomial]:
     """Greedy ascending-invlex scan for the degree-n commutative PBW basis."""
-    if n == 0:
-        return [Monomial.unit()]
-    span = RowSpan(a.dims[n], a.fld.l)
-    out: list[Monomial] = []
-    for m in normal_monomials(a.order, n, a.mode):
-        if span.dim == a.dims[n]:
-            break
-        if span.add(a.monomial_value(m)):
-            out.append(m)
-    if span.dim != a.dims[n]:
-        raise ValueError(f"A_{n} is not spanned by monomials in the generators")
-    return out
+    return a.word_basis(n)[0]
 
 
 def associated_graded(a: DegreewiseAlgebra) -> MonomialTruncation:
@@ -147,18 +136,18 @@ def module_surviving_monomials(a: DegreewiseAlgebra, subspace_bases: list[np.nda
     if dim_m == 0:
         return []
     filt = RowSpan(a.dims[n], p)
+    joint = RowSpan(a.dims[n], p)  # M + F
+    for row in mbasis:
+        joint.add(row)
     out: list[Monomial] = []
     prev = 0
     for m in normal_monomials(a.order, n, a.mode):
         if prev == dim_m:
             break
-        filt.add(a.monomial_value(m))
+        v = a.monomial_value(m)
+        filt.add(v)
+        joint.add(v)
         # dim(M cap F) = dim M + dim F - dim(M + F)
-        joint = RowSpan(a.dims[n], p)
-        for row in mbasis:
-            joint.add(row)
-        for row in filt.matrix():
-            joint.add(row)
         cur = dim_m + filt.dim - joint.dim
         if cur > prev:
             out.append(m)

@@ -683,7 +683,7 @@ def _general_s_places(num_s: int, num_real: int):
 
 
 def _rand_solution(a: np.ndarray, b: np.ndarray, rng, p: int) -> np.ndarray | None:
-    x0 = gf.solve(a, b, p)
+    x0 = gf.solve_combination(a.T, b, p)
     if x0 is None:
         return None
     ns = gf.nullspace(a, p)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from koszulity.algebra import (QuadraticPresentation, SymmetryMode,
                                augmentation_module, degreewise_expand,
-                               free_algebra, ideal_module, normal_monomials,
-                               presentation_from_json, presentation_to_json)
+                               free_algebra, free_product, ideal_module,
+                               normal_monomials, presentation_from_json,
+                               presentation_to_json)
 from koszulity.gf import PrimeField, RowSpan
 from koszulity.monomials import Monomial, mono_enumerate
 
@@ -144,6 +145,61 @@ class TestElementProduct:
             uv_w = a.element_product(a.element_product(u, 1, v, 1), 2, w, 1)
             u_vw = a.element_product(u, 1, a.element_product(v, 1, w, 1), 2)
             assert (uv_w % 3 == u_vw % 3).all()
+
+
+def product_core_cases():
+    """60 reproducible random presentations: both modes, l in {2, 3, 5}."""
+    rng = random.Random(2024)
+    cases = []
+    for l in (2, 3, 5):
+        for mode in SymmetryMode:
+            for _ in range(10):
+                cases.append(random_presentation(
+                    rng, l, mode, rng.randint(2, 4), rng.randint(0, 3)))
+    return cases
+
+
+class TestProductCore:
+    """The product tables against the free-product normal form."""
+
+    N_MAX = 4
+
+    @pytest.fixture(scope="class")
+    def expanded(self):
+        return [(p, degreewise_expand(p, self.N_MAX)) for p in product_core_cases()]
+
+    def test_mult_matrix_matches_normal_form(self, expanded):
+        for pres, a in expanded:
+            l = pres.fld.l
+            comps = [pres.component(n) for n in range(self.N_MAX + 1)]
+            for d in range(self.N_MAX + 1):
+                for e in range(self.N_MAX + 1 - d):
+                    hi = comps[d + e]
+                    idx = {m: k for k, m in enumerate(hi.monomials)}
+                    want = np.zeros((a.dims[d + e], a.dims[d] * a.dims[e]), dtype=np.int64)
+                    for i, x in enumerate(comps[d].basis_monomials):
+                        for j, y in enumerate(comps[e].basis_monomials):
+                            sign, prod = free_product(x, y, pres.mode, l)
+                            if prod is not None:
+                                want[:, i * a.dims[e] + j] = \
+                                    (sign * hi.projection[idx[prod]]) % l
+                    assert (a.mult_matrix(d, e) == want).all(), (pres.relations, d, e)
+
+    def test_word_coordinates_invert_values(self, expanded):
+        for pres, a in expanded:
+            l = pres.fld.l
+            for n in range(self.N_MAX + 1):
+                words, coords = a.word_basis(n)
+                values = np.array([a.monomial_value(w) for w in words],
+                                  dtype=np.int64).reshape(len(words), a.dims[n])
+                assert ((coords @ values) % l == np.eye(a.dims[n], dtype=np.int64)).all()
+
+    def test_augmentation_action_is_multiplication(self, expanded):
+        for _, a in expanded:
+            m = augmentation_module(a, a)
+            for n in range(1, self.N_MAX + 1):
+                for d in range(self.N_MAX + 1 - n):
+                    assert (m.action_matrix(d, n) == a.mult_matrix(d, n)).all()
 
 
 class TestAugmentationModule:

@@ -233,3 +233,37 @@ def test_modulus_above_bound_exits_2(capsys, monkeypatch, command, l):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "too large" in lines[0] and "Traceback" not in err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == EXIT_INPUT
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--max-i", "--max-j", "--max-n"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_negative_window_bound_exits_2(capsys, tmp_path, command, flag):
+    path = write_json(tmp_path, "t.json", triangle_datum())
+    assert_one_error_line(*run(capsys, command, path, flag, "-1"))
+
+
+def relation(coef):
+    return [[{"mono": "x0*x1", "coef": coef}]]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("generators", "abc"),
+    ("relations", relation(1.7)),
+    ("relations", relation(True)),
+    ("l", 2.0),
+    ("relations", [[{"mono": 5, "coef": 1}]]),
+], ids=["generators-string", "coef-float", "coef-bool", "l-float", "mono-int"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_presentation_types_checked(capsys, monkeypatch, command, field, value):
+    obj = exterior2_presentation()
+    obj[field] = value
+    assert_one_error_line(*run(capsys, command, "-", stdin=json.dumps(obj),
+                               monkeypatch=monkeypatch))
