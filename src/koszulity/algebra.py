@@ -375,6 +375,7 @@ class ModuleTruncation:
     action: list[list[np.ndarray]]
     basis_monomials: list[list[Monomial]] | None = None
     monomial: bool = False
+    _act_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_max(self) -> int:
@@ -385,7 +386,10 @@ class ModuleTruncation:
 
     def action_matrix(self, d: int, n: int) -> np.ndarray:
         """Matrix of A_d x M_n -> M_(n+d); column index = i_d * dims[n] + i_n."""
-        return word_action(self.algebra, self.action, self.dims, d, n)
+        key = (d, n)
+        if key not in self._act_cache:
+            self._act_cache[key] = word_action(self.algebra, self.action, self.dims, d, n)
+        return self._act_cache[key]
 
 
 def augmentation_module(a: DegreewiseAlgebra, b: DegreewiseAlgebra) -> ModuleTruncation:
@@ -419,8 +423,9 @@ def ideal_module(a: DegreewiseAlgebra, c: np.ndarray) -> ModuleTruncation:
 
     bases: list[np.ndarray] = [np.zeros((0, 1), dtype=np.int64)]
     bases.append(c.reshape(1, -1))
+    spans: dict[int, RowSpan] = {}
     for n in range(2, a.n_max + 1):
-        span = RowSpan(a.dims[n], p)
+        span = spans[n] = RowSpan(a.dims[n], p)
         eye = np.eye(a.dims[n - 1], dtype=np.int64)
         for i in range(a.dims[n - 1]):
             span.add(times_c(eye[i], n - 1))
@@ -428,16 +433,15 @@ def ideal_module(a: DegreewiseAlgebra, c: np.ndarray) -> ModuleTruncation:
     dims = [0] + [b.shape[0] for b in bases[1:]]
     action: list[list[np.ndarray] | None] = [None]
     for n in range(1, a.n_max):
+        # bases[n + 1] is in reduced echelon form: coordinates of a vector
+        # of its span sit at the pivot columns
+        span = spans[n + 1]
         mats = []
         for g in range(a.num_generators):
-            mat = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
-            for col in range(dims[n]):
-                img = a.apply_generator(g, n, bases[n][col])
-                coeffs = gf.solve_combination(bases[n + 1], img, p)
-                if coeffs is None:
-                    raise ValueError("ideal not closed under the generator action")
-                mat[:, col] = coeffs
-            mats.append(mat)
+            img = (a.gen_action[n][g] @ bases[n].T) % p
+            if not all(span.contains(v) for v in img.T):
+                raise ValueError("ideal not closed under the generator action")
+            mats.append(img[span.pivot_of_row])
         action.append(mats)
     m = ModuleTruncation(a, dims, action)
     m.subspace_bases = bases

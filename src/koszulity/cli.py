@@ -6,7 +6,8 @@ All JSON output is canonical: sorted keys, no insignificant whitespace.
 
 Exit codes for `check`: 0 all verdicts agree and the object is Koszul
 through the bound, 1 all verdicts agree on non-Koszul, 2 parse/validator
-error, 3 internal disagreement between verdicts.
+error, 3 internal disagreement between verdicts, 4 internal error (an
+uncaught exception, such as a failed d^2=0 check; every command).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NON_KOSZUL = 1
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
+EXIT_INTERNAL = 4
 
 
 def canonical_json(obj) -> str:
@@ -256,6 +258,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

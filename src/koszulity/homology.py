@@ -1,30 +1,39 @@
 """Bidegree homology H_{i,j} = Tor_{i,j} over F_l, with Koszulity diagnosis.
 
-Three interchangeable engines compute the same table:
+Every table is a module table Tor_{i,j}(k, M).  The algebra table is the
+module table of M = A_+ shifted up by one in i: A is free, so the sequence
+0 -> A_+ -> A -> k -> 0 gives Tor_{i,j}(k,k) = Tor_{i-1,j}(k,A_+) for i >= 1,
+and Tor_{0,0}(k,k) = 1.  Term for term, the bar complex of A_+ in homological
+degree i is the reduced bar complex of k in degree i+1.
+
+Four engines compute the same module table:
 
 * a dense bar complex, component by component, for small instances;
-* the same bar complex split by monomial multidegree when the algebra (and
-  module) have a monomial basis — the differential preserves the total
+* the same bar complex split by monomial multidegree when the algebra and
+  module have a monomial basis — the differential preserves the total
   exponent vector, so the complex decomposes into many tiny blocks;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
-  generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1}).
+  generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1});
+* the Koszul complex M (x) Gamma, for modules over a free exterior algebra.
 
-The bar engines are the ground truth; the resolution engine is an
-optimization audited against them in the test suite.
+`tor_module`'s `auto` rule, the only one, picks the bar complex when A and M
+are monomial or the largest dense bar term has at most DENSE_BAR_LIMIT basis
+vectors, else the Koszul complex over a free exterior algebra, else the
+resolution.  The bar engines are the ground truth; the others are
+optimizations audited against them in the test suite.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
-from .algebra import DegreewiseAlgebra, ModuleTruncation
+from .algebra import DegreewiseAlgebra, ModuleTruncation, augmentation_module
 from .monomials import Monomial, mono_mul
 
 
@@ -97,17 +106,17 @@ def _compositions(total: int, parts: int, dims) -> list[tuple[int, ...]]:
 
 
 class _DenseBar:
-    """Bar complex of k (or of a module) restricted to one internal degree j."""
+    """Bar complex of a module M restricted to one internal degree j: the i-th
+    term is the sum of A_(c_1) (x) ... (x) A_(c_i) (x) M_md over compositions
+    c of j - md."""
 
-    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation | None, j: int):
+    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j: int):
         self.a, self.m, self.j = a, m, j
         self.p = a.fld.l
 
     def components(self, i: int) -> list[tuple]:
-        """Direct summands of the i-th term: algebra-degree compositions,
-        plus a trailing module degree in the module case."""
-        if self.m is None:
-            return [(c, None) for c in _compositions(self.j, i, self.a.dims)]
+        """Direct summands of the i-th term: (algebra-degree composition,
+        module degree)."""
         out = []
         for md in range(1, self.j - i + 1):
             if self.m.dims[md] == 0:
@@ -118,26 +127,19 @@ class _DenseBar:
 
     def comp_dim(self, comp) -> int:
         c, md = comp
-        d = 1
+        d = self.m.dims[md]
         for n in c:
             d *= self.a.dims[n]
-        if md is not None:
-            d *= self.m.dims[md]
         return d
 
     def term_dim(self, i: int) -> int:
-        if self.m is None and i == 0:
-            return 1 if self.j == 0 else 0
         return sum(self.comp_dim(c) for c in self.components(i))
 
     def differential(self, i: int) -> np.ndarray:
         """Matrix of d_i: C_i -> C_(i-1)."""
         src = self.components(i)
-        tgt = self.components(i - 1)
-        if self.m is None and i == 1:
-            tgt = []  # C_0 = k in degree 0 only; d_1 = 0
         tgt_off, off = {}, 0
-        for c in tgt:
+        for c in self.components(i - 1):
             tgt_off[c] = off
             off += self.comp_dim(c)
         rows = off
@@ -146,11 +148,8 @@ class _DenseBar:
         col_off = 0
         for c, md in src:
             w = self.comp_dim((c, md))
-            factor_dims = [self.a.dims[n] for n in c]
-            if md is not None:
-                factor_dims.append(self.m.dims[md])
-            nterms = len(c) - 1 if self.m is None else len(c)
-            for s in range(nterms):
+            factor_dims = [self.a.dims[n] for n in c] + [self.m.dims[md]]
+            for s in range(len(c)):
                 if s < len(c) - 1:
                     mult = self.a.mult_matrix(c[s], c[s + 1])
                     newc = c[:s] + (c[s] + c[s + 1],) + c[s + 2:]
@@ -172,26 +171,27 @@ class _DenseBar:
         return d
 
 
+def _homology(diffs: list[np.ndarray], p: int, j: int) -> list[int]:
+    """Homology of a bar complex from its differentials diffs[k] = d_(k+1):
+    C_(k+1) -> C_k.  Checks every d_i d_(i+1) = 0 exactly, then returns
+    h_i = dim C_i - rank d_i - rank d_(i+1) for i < len(diffs), with d_0 = 0
+    and dim C_i the row count of d_(i+1)."""
+    for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
+        if lo.size and hi.size and gf.matmul(lo, hi, p).any():
+            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
+    ranks = [0] + [gf.rank(d, p) if d.size else 0 for d in diffs]
+    return [d.shape[0] - ranks[i] - ranks[i + 1] for i, d in enumerate(diffs)]
+
+
 def _bar_dense_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
+    # d_1 .. d_(i_max+1); past d_j every term vanishes in degree j
     dims: dict[tuple[int, int], int] = {}
-    p = a.fld.l
-    for j in range(0, j_max + 1):
+    for j in range(1, j_max + 1):
         bar = _DenseBar(a, m, j)
-        top = min(i_max + 1, j if m is None else j)
-        tdims = [bar.term_dim(i) for i in range(top + 1)]
-        diffs = [None] + [bar.differential(i) for i in range(1, top + 1)]
-        for i in range(1, top):
-            if diffs[i].size and diffs[i + 1].size and gf.matmul(diffs[i], diffs[i + 1], p).any():
-                raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
-        ranks = [0] * (top + 2)
-        for i in range(1, top + 1):
-            ranks[i] = gf.rank(diffs[i], p) if diffs[i].size else 0
-        for i in range(0, min(i_max, top) + 1):
-            h = tdims[i] - ranks[i] - (ranks[i + 1] if i + 1 <= top else 0)
+        diffs = [bar.differential(i) for i in range(1, min(i_max + 1, j) + 1)]
+        for i, h in enumerate(_homology(diffs, a.fld.l, j)):
             if h:
                 dims[(i, j)] = h
-    if m is None:
-        dims[(0, 0)] = 1
     return dims
 
 
@@ -199,18 +199,18 @@ def _bar_dense_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
 
 
 class _MonomialStructure:
-    """Structure constants of a monomial algebra/module on basis monomials."""
+    """Structure constants of a monomial algebra and module on basis
+    monomials, read off single columns of the product matrices."""
 
-    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation | None):
+    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation):
         if not a.monomial or a.basis_monomials is None:
             raise ValueError("multidegree split needs a monomial basis")
+        if not m.monomial or m.basis_monomials is None:
+            raise ValueError("multidegree split needs a monomial module basis")
         self.a, self.m = a, m
         self.p = a.fld.l
         self.aindex = [{mo: k for k, mo in enumerate(bs)} for bs in a.basis_monomials]
-        if m is not None:
-            if not m.monomial or m.basis_monomials is None:
-                raise ValueError("multidegree split needs a monomial module basis")
-            self.mindex = [{mo: k for k, mo in enumerate(bs)} for bs in m.basis_monomials]
+        self.mindex = [{mo: k for k, mo in enumerate(bs)} for bs in m.basis_monomials]
         self._pair: dict = {}
         self._act: dict = {}
 
@@ -218,31 +218,21 @@ class _MonomialStructure:
         """x*y in the algebra: (coef, basis monomial) or (0, None)."""
         key = (x, y)
         if key not in self._pair:
-            d = x.degree + y.degree
-            v = self.a.element_product(
-                _unit_vec(self.a.dims[x.degree], self.aindex[x.degree][x]), x.degree,
-                _unit_vec(self.a.dims[y.degree], self.aindex[y.degree][y]), y.degree)
-            self._pair[key] = _single_term(v, self.a.basis_monomials[d])
+            dx, dy = x.degree, y.degree
+            col = self.aindex[dx][x] * self.a.dims[dy] + self.aindex[dy][y]
+            self._pair[key] = _single_term(self.a.mult_matrix(dx, dy)[:, col],
+                                           self.a.basis_monomials[dx + dy])
         return self._pair[key]
 
     def act(self, x: Monomial, b: Monomial):
         """x*b in the module: (coef, module basis monomial) or (0, None)."""
         key = (x, b)
         if key not in self._act:
-            n = b.degree
-            v = _unit_vec(self.m.dims[n], self.mindex[n][b])
-            deg = n
-            for g in reversed(x.word()):
-                v = self.m.apply_generator(g, deg, v)
-                deg += 1
-            self._act[key] = _single_term(v, self.m.basis_monomials[deg])
+            dx, db = x.degree, b.degree
+            col = self.aindex[dx][x] * self.m.dims[db] + self.mindex[db][b]
+            self._act[key] = _single_term(self.m.action_matrix(dx, db)[:, col],
+                                          self.m.basis_monomials[dx + db])
         return self._act[key]
-
-
-def _unit_vec(n: int, k: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.int64)
-    v[k] = 1
-    return v
 
 
 def _single_term(v: np.ndarray, basis: list[Monomial]):
@@ -256,23 +246,18 @@ def _single_term(v: np.ndarray, basis: list[Monomial]):
 
 
 def _split_tuples(st: _MonomialStructure, i: int, j: int):
-    """All bar basis tuples at (i, j), grouped by total multidegree."""
+    """All bar basis tuples (i algebra monomials, then one module monomial)
+    at (i, j), grouped by total multidegree."""
     a, m = st.a, st.m
     groups: dict[Monomial, list[tuple]] = {}
 
     def rec(pos: int, remaining: int, prefix: tuple, multi: Monomial):
         if pos == i:
-            if m is None:
-                if remaining == 0:
-                    groups.setdefault(multi, []).append(prefix)
-            else:
-                if 1 <= remaining <= m.n_max and m.dims[remaining]:
-                    for b in m.basis_monomials[remaining]:
-                        groups.setdefault(mono_mul(multi, b), []).append(prefix + (b,))
+            for b in m.basis_monomials[remaining]:
+                groups.setdefault(mono_mul(multi, b), []).append(prefix + (b,))
             return
-        low = 1
-        high = remaining - (i - pos - 1) - (1 if m is not None else 0)
-        for d in range(low, min(high, a.n_max) + 1):
+        # leave at least one degree for each later factor and for the module
+        for d in range(1, min(remaining - (i - pos), a.n_max) + 1):
             for mo in a.basis_monomials[d]:
                 rec(pos + 1, remaining - d, prefix + (mo,), mono_mul(multi, mo))
 
@@ -280,61 +265,37 @@ def _split_tuples(st: _MonomialStructure, i: int, j: int):
     return groups
 
 
-def _split_block_diff(st: _MonomialStructure, src: list[tuple], tgt: list[tuple],
-                      module: bool) -> np.ndarray:
+def _split_block_diff(st: _MonomialStructure, src: list[tuple],
+                      tgt: list[tuple]) -> np.ndarray:
     p = st.p
     pos = {t: k for k, t in enumerate(tgt)}
     d = np.zeros((len(tgt), len(src)), dtype=np.int64)
     for col, t in enumerate(src):
-        nfac = len(t) - 1 if module else len(t)
-        for s in range(nfac - 1):
-            coef, prod = st.pair(t[s], t[s + 1])
+        # t = (a_1, ..., a_i, b): products of neighbours, the last one acting
+        for s in range(len(t) - 1):
+            coef, prod = (st.pair if s < len(t) - 2 else st.act)(t[s], t[s + 1])
             if prod is None:
                 continue
             new = t[:s] + (prod,) + t[s + 2:]
             if new in pos:
                 sign = coef if s % 2 == 0 else -coef
                 d[pos[new], col] = (d[pos[new], col] + sign) % p
-        if module and nfac >= 1:
-            s = nfac - 1
-            coef, prod = st.act(t[s], t[s + 1])
-            if prod is not None:
-                new = t[:s] + (prod,)
-                if new in pos:
-                    sign = coef if s % 2 == 0 else -coef
-                    d[pos[new], col] = (d[pos[new], col] + sign) % p
     return d
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
     st = _MonomialStructure(a, m)
-    p = a.fld.l
     dims: dict[tuple[int, int], int] = {}
-    module = m is not None
-    for j in range(1 if module else 0, j_max + 1):
+    for j in range(1, j_max + 1):
         top = min(i_max + 1, j)
         tiers = [_split_tuples(st, i, j) for i in range(top + 1)]
-        if not module:
-            # C_0 = k lives only at j = 0
-            tiers[0] = {} if j > 0 else {Monomial.unit(): [()]}
-        multis = set().union(*(t.keys() for t in tiers))
-        for mu in multis:
+        for mu in set().union(*tiers):
             blocks = [t.get(mu, []) for t in tiers]
-            ranks = [0] * (top + 2)
-            prev = None
-            for i in range(1, top + 1):
-                dmat = _split_block_diff(st, blocks[i], blocks[i - 1], module)
-                if prev is not None and prev.size and dmat.size:
-                    if gf.matmul(prev, dmat, p).any():
-                        raise AssertionError(f"bar differential fails d^2=0 at j={j}")
-                ranks[i] = gf.rank(dmat, p) if dmat.size else 0
-                prev = dmat
-            for i in range(0, min(i_max, top) + 1):
-                h = len(blocks[i]) - ranks[i] - (ranks[i + 1] if i + 1 <= top else 0)
+            diffs = [_split_block_diff(st, blocks[i], blocks[i - 1])
+                     for i in range(1, top + 1)]
+            for i, h in enumerate(_homology(diffs, a.fld.l, j)):
                 if h:
                     dims[(i, j)] = dims.get((i, j), 0) + h
-    if not module:
-        dims[(0, 0)] = 1
     return dims
 
 
@@ -366,121 +327,73 @@ class _Layout:
         e, vd, off = b[-1]
         return off + self.a.dims[j - e] * vd
 
-    def gen_mul(self, g: int, j: int, vec: np.ndarray) -> np.ndarray:
-        """x_g * vec, mapping degree j to degree j+1 coordinates."""
-        a = self.a
-        p = a.fld.l
-        out = np.zeros(self.dim(j + 1), dtype=np.int64)
-        tgt = {e: off for e, _, off in self.blocks(j + 1)}
-        for e, vd, off in self.blocks(j):
-            d = j - e
-            sub = vec[off:off + a.dims[d] * vd].reshape(a.dims[d], vd)
-            if not sub.any() or e not in tgt:
-                continue
-            if d == 0:
-                res = np.zeros((a.dims[1], vd), dtype=np.int64)
-                res[g] = sub[0]
-            else:
-                res = (a.gen_action[d][g] @ sub) % p
-            o2 = tgt[e]
-            out[o2:o2 + res.size] = (out[o2:o2 + res.size] + res.reshape(-1)) % p
-        return out
-
-    def elem_mul(self, d: int, u_idx: int, j: int, vec: np.ndarray) -> np.ndarray:
-        """(basis vector u_idx of A_d) * vec, degree j to degree j+d."""
+    def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
+        """(basis vector u of A_d) * each column of vecs, degree j to j+d."""
         a = self.a
         p = a.fld.l
         if d == 0:
-            return vec % p
-        out = np.zeros(self.dim(j + d), dtype=np.int64)
+            return vecs % p
+        k = vecs.shape[1]
+        out = np.zeros((self.dim(j + d), k), dtype=np.int64)
         tgt = {e: off for e, _, off in self.blocks(j + d)}
         for e, vd, off in self.blocks(j):
             dp = j - e
-            sub = vec[off:off + a.dims[dp] * vd].reshape(a.dims[dp], vd)
-            if not sub.any() or e not in tgt:
+            if e not in tgt:
                 continue
-            mult = a.mult_matrix(d, dp)
-            t = mult[:, u_idx * a.dims[dp]:(u_idx + 1) * a.dims[dp]]
-            res = (t @ sub) % p
-            o2 = tgt[e]
-            out[o2:o2 + res.size] = (out[o2:o2 + res.size] + res.reshape(-1)) % p
+            # rows of a block are (A_dp basis, V_e basis) pairs
+            sub = vecs[off:off + a.dims[dp] * vd].reshape(a.dims[dp], vd * k)
+            mult = a.mult_matrix(d, dp)[:, u * a.dims[dp]:(u + 1) * a.dims[dp]]
+            res = ((mult @ sub) % p).reshape(-1, k)
+            out[tgt[e]:tgt[e] + res.shape[0]] = res
         return out
 
 
-def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation | None,
+class _ModuleLayout:
+    """M itself, with the interface of _Layout: stage 0 of a resolution of M,
+    whose "kernel" is all of M."""
+
+    def __init__(self, m: ModuleTruncation):
+        self.m = m
+
+    def dim(self, j: int) -> int:
+        return self.m.dims[j]
+
+    def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
+        p = self.m.algebra.fld.l
+        if d == 0:
+            return vecs % p
+        n = self.m.dims[j]
+        return (self.m.action_matrix(d, j)[:, u * n:(u + 1) * n] @ vecs) % p
+
+
+def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
                       i_max: int, j_max: int) -> dict[tuple[int, int], int]:
+    """dim V_i in each degree j <= j_max for i <= i_max, V_i the minimal
+    generators K_i / A_1 K_i of the i-th kernel K_i in F_(i-1) = A (x) V_(i-1),
+    with K_0 = M, by the graded Nakayama rule (A_+ K)_j = A_1 K_(j-1)."""
     p = a.fld.l
     dims: dict[tuple[int, int], int] = {}
-
-    if m is None:
-        # resolve k: F_0 = A, first syzygy K = A_+ inside F_0
-        layout = _Layout(a, [(0, 1)])
-        kernels = {j: np.eye(a.dims[j], dtype=np.int64) for j in range(1, j_max + 1)}
-        dims[(0, 0)] = 1
-    else:
-        # V_0 = M / A_1 M, represented inside M degreewise
-        vblocks, reps = [], {}
-        for j in range(1, j_max + 1):
-            span = gf.RowSpan(m.dims[j], p)
-            if j > 1 and m.dims[j - 1]:
-                for g in range(a.num_generators):
-                    for col in np.eye(m.dims[j - 1], dtype=np.int64):
-                        span.add(m.apply_generator(g, j - 1, col))
-            rep = []
-            for v in np.eye(m.dims[j], dtype=np.int64):
-                if span.add(v):
-                    rep.append(v)
-            if rep:
-                vblocks.append((j, len(rep)))
-                reps[j] = np.array(rep, dtype=np.int64)
-                dims[(0, j)] = len(rep)
-        layout = _Layout(a, vblocks)
-        # kernel of F_0 -> M, degree by degree
-        kernels = {}
-        for j in range(1, j_max + 1):
-            cols = layout.dim(j)
-            if cols == 0:
-                continue
-            phi = np.zeros((m.dims[j], cols), dtype=np.int64)
-            for e, vd, off in layout.blocks(j):
-                d = j - e
-                if d == 0:
-                    block = reps[e].T % p
-                else:
-                    # columns of the action matrix are (u, w) pairs over the
-                    # M_e basis; compose with the chosen representatives
-                    act = m.action_matrix(d, e)
-                    block = np.zeros((m.dims[j], a.dims[d] * vd), dtype=np.int64)
-                    for u in range(a.dims[d]):
-                        sub = act[:, u * m.dims[e]:(u + 1) * m.dims[e]]
-                        block[:, u * vd:(u + 1) * vd] = (sub @ reps[e].T) % p
-                phi[:, off:off + block.shape[1]] = block
-            ker = gf.nullspace(phi, p)
-            if ker.shape[0]:
-                kernels[j] = ker
-
-    for i in range(1, i_max + 1):
+    layout = _ModuleLayout(m)
+    kernels = {j: np.eye(m.dims[j], dtype=np.int64)
+               for j in range(1, j_max + 1) if m.dims[j]}
+    for i in range(i_max + 1):
         vblocks, reps = [], {}
         for j in sorted(kernels):
-            if j > j_max:
-                continue
             span = gf.RowSpan(kernels[j].shape[1], p)
             if j - 1 in kernels:
-                for row in kernels[j - 1]:
-                    for g in range(a.num_generators):
-                        span.add(layout.gen_mul(g, j - 1, row))
-            rep = []
-            for row in kernels[j]:
-                if span.add(row):
-                    rep.append(row)
+                for g in range(a.num_generators):
+                    for v in layout.act(1, g, j - 1, kernels[j - 1].T).T:
+                        span.add(v)
+            rep = [row for row in kernels[j] if span.add(row)]
             if rep:
                 vblocks.append((j, len(rep)))
                 reps[j] = np.array(rep, dtype=np.int64)
                 dims[(i, j)] = len(rep)
         if i == i_max or not vblocks:
             break
+        # K_(i+1) = kernel of F_i = A (x) V_i -> F_(i-1), degree by degree
         new_layout = _Layout(a, vblocks)
-        new_kernels = {}
+        kernels = {}
         for j in range(1, j_max + 1):
             cols = new_layout.dim(j)
             if cols == 0:
@@ -489,12 +402,11 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation | None,
             for e, vd, off in new_layout.blocks(j):
                 d = j - e
                 for u in range(a.dims[d]):
-                    for v in range(vd):
-                        phi[:, off + u * vd + v] = layout.elem_mul(d, u, e, reps[e][v])
+                    phi[:, off + u * vd:off + (u + 1) * vd] = layout.act(d, u, e, reps[e].T)
             ker = gf.nullspace(phi, p)
             if ker.shape[0]:
-                new_kernels[j] = ker
-        layout, kernels = new_layout, new_kernels
+                kernels[j] = ker
+        layout = new_layout
         if not kernels:
             break
     return dims
@@ -597,14 +509,8 @@ def _dense_cost(a, m, i_max, j_max) -> int:
 
 
 def bar_tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int) -> TorTable:
-    """H_{i,j}(A) = Tor_{i,j}(k,k) from the reduced bar complex."""
-    if j_max > a.n_max:
-        raise ValueError("j_max exceeds the algebra truncation")
-    if a.monomial and a.basis_monomials is not None:
-        dims = _bar_split_table(a, None, i_max, j_max)
-    else:
-        dims = _bar_dense_table(a, None, i_max, j_max)
-    return TorTable(TorKind.ALGEBRA, i_max, j_max, dims)
+    """H_{i,j}(A) = Tor_{i,j}(k,k) from the bar complex of A_+."""
+    return tor_algebra(a, i_max, j_max, engine="bar")
 
 
 def bar_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
@@ -620,7 +526,7 @@ def bar_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
     return TorTable(TorKind.MODULE, i_max, j_max, dims)
 
 
-def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation | None,
+def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
                 i_top: int, j_max: int, dims: dict[tuple[int, int], int]) -> None:
     """Fill the single missing entry (i_top, j_max) from the per-degree Euler
     characteristic of the reduced bar complex: the alternating sums of term
@@ -637,26 +543,19 @@ def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation | None,
 
 
 def resolution_tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int) -> TorTable:
-    """Same table via a minimal free resolution of k.
-
-    The final homological stage is the expensive one and only ever carries the
-    entry (j_max, j_max) within the window, so when the window reaches it the
-    resolution is stopped one stage short and that entry is recovered from the
-    bar complex Euler characteristic in degree j_max.
-    """
-    if j_max > a.n_max:
-        raise ValueError("j_max exceeds the algebra truncation")
-    i_top = j_max  # beyond this, entries in the window vanish (i > j)
-    if i_max >= i_top >= 1:
-        dims = _resolution_table(a, None, i_top - 1, j_max)
-        _euler_fill(a, None, i_top, j_max, dims)
-    else:
-        dims = _resolution_table(a, None, i_max, j_max)
-    return TorTable(TorKind.ALGEBRA, i_max, j_max, dims)
+    """Same table via a minimal free resolution of A_+."""
+    return tor_algebra(a, i_max, j_max, engine="resolution")
 
 
 def resolution_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
                           i_max: int, j_max: int) -> TorTable:
+    """Same table via a minimal free resolution of M.
+
+    The final homological stage is the expensive one and only ever carries the
+    entry (j_max - 1, j_max) within the window, so when the window reaches it
+    the resolution is stopped one stage short and that entry is recovered from
+    the bar complex Euler characteristic in degree j_max.
+    """
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
     i_top = j_max - 1  # bar terms need i algebra factors plus a module factor
@@ -669,26 +568,47 @@ def resolution_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
 
 
 DENSE_BAR_LIMIT = 4000
+ENGINES = ("auto", "bar", "resolution", "koszul")
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}")
 
 
 def tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int,
                 engine: str = "auto") -> TorTable:
-    if engine == "bar" or (engine == "auto" and (
-            (a.monomial and a.basis_monomials is not None)
-            or _dense_cost(a, None, i_max, j_max) <= DENSE_BAR_LIMIT)):
-        return bar_tor_algebra(a, i_max, j_max)
-    return resolution_tor_algebra(a, i_max, j_max)
+    """Tor_{i,j}(k,k) over A: 1 at (0, 0), and Tor_{i-1,j}(k, A_+) from
+    `tor_module` (with its engine rule) at (i, j) for i >= 1."""
+    _check_engine(engine)
+    if j_max > a.n_max:
+        raise ValueError("j_max exceeds the algebra truncation")
+    dims = {(0, 0): 1}
+    if i_max >= 1:
+        plus = tor_module(a, augmentation_module(a, a), i_max - 1, j_max, engine)
+        dims.update({(i + 1, j): h for (i, j), h in plus.dims.items()})
+    return TorTable(TorKind.ALGEBRA, i_max, j_max, dims)
 
 
 def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int,
                engine: str = "auto") -> TorTable:
-    monomial = a.monomial and a.basis_monomials is not None \
-        and m.monomial and m.basis_monomials is not None
-    if engine == "koszul":
-        return koszul_tor_module(a, m, i_max, j_max)
-    if engine == "bar" or (engine == "auto" and (
-            monomial or _dense_cost(a, m, i_max, j_max) <= DENSE_BAR_LIMIT)):
-        return bar_tor_module(a, m, i_max, j_max)
-    if engine == "auto" and is_free_exterior(a):
-        return koszul_tor_module(a, m, i_max, j_max)
-    return resolution_tor_module(a, m, i_max, j_max)
+    """Tor_{i,j}(k,M) over A by `engine`: "bar", "resolution", "koszul" or
+    "auto".  The `auto` rule: the bar complex when A and M are monomial (the
+    multidegree split) or the largest dense bar term in the window has at
+    most DENSE_BAR_LIMIT basis vectors; else the Koszul complex when A is a
+    free exterior algebra; else the resolution."""
+    _check_engine(engine)
+    if j_max > a.n_max or j_max > m.n_max:
+        raise ValueError("j_max exceeds the truncation")
+    if engine == "auto":
+        monomial = a.monomial and a.basis_monomials is not None \
+            and m.monomial and m.basis_monomials is not None
+        if monomial or _dense_cost(a, m, i_max, j_max) <= DENSE_BAR_LIMIT:
+            engine = "bar"
+        elif is_free_exterior(a):
+            engine = "koszul"
+        else:
+            engine = "resolution"
+    run = {"bar": bar_tor_module, "resolution": resolution_tor_module,
+           "koszul": koszul_tor_module}[engine]
+    return run(a, m, i_max, j_max)

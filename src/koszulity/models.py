@@ -24,7 +24,7 @@ from . import gf
 from .gf import PrimeField, RowSpan
 from .monomials import GeneratorOrder, Monomial
 from .algebra import (DegreewiseAlgebra, QuadraticPresentation, SymmetryMode,
-                      normal_monomials)
+                      _json_int, normal_monomials)
 
 LOCAL_CASES = ("symplectic", "two_zero", "two_nonzero", "noroot")
 
@@ -448,12 +448,20 @@ def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
     order = d.order()
     ngen = len(order)
     labels = d.coord_labels()
+    # row g * ngen + h is the symbol {x_g, x_h}
+    sym = np.array([d.symbol_vector(g, h) for g in range(ngen) for h in range(ngen)],
+                   dtype=np.int64).reshape(ngen * ngen, len(labels))
     span = RowSpan(len(labels), p)
     for m in normal_monomials(order, 2, d.mode):
         w = m.word()
-        span.add(d.symbol_vector(w[0], w[1]))
+        span.add(sym[w[0] * ngen + w[1]])
     basis = span.matrix()
     dim2 = basis.shape[0]
+    # the basis is in reduced echelon form: a vector of its span has its
+    # coordinates at the pivot columns
+    coords = sym[:, span.pivot_of_row]
+    if ((coords @ basis - sym) % p).any():
+        raise ValueError("a symbol lies outside the span of the normal-monomial symbols")
 
     real = [(i, sp) for i, sp in enumerate(d.s_places) if sp.kind == "real"]
     comm = d.mode is SymmetryMode.COMMUTATIVE
@@ -468,15 +476,7 @@ def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
     gen_action: list[list[np.ndarray]] = []
     eye = np.eye(ngen, dtype=np.int64)
     gen_action.append([eye[:, g:g + 1] for g in range(ngen)])
-    mats1 = []
-    for g in range(ngen):
-        mat = np.zeros((dim2, ngen), dtype=np.int64)
-        for h in range(ngen):
-            coeffs = gf.solve_combination(basis, d.symbol_vector(g, h), p)
-            assert coeffs is not None
-            mat[:, h] = coeffs
-        mats1.append(mat)
-    gen_action.append(mats1)
+    gen_action.append([coords[g * ngen:(g + 1) * ngen].T.copy() for g in range(ngen)])
     if n_max >= 3:
         mats2 = []
         for g in range(ngen):
@@ -1028,30 +1028,63 @@ def datum_to_json(d: GlobalSymbolDatum) -> dict:
     }
 
 
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> np.ndarray:
+    """Nested lists of integers as an int64 array (np.array alone would
+    truncate floats and read booleans as 0 and 1)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        else:
+            _json_int(v, what)
+    return np.array(value, dtype=np.int64)
+
+
+def _json_int_map(value, what: str) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    return {t: _json_int(e, what) for t, e in value.items()}
+
+
 def datum_from_json(obj: dict) -> GlobalSymbolDatum:
-    fld = PrimeField(int(obj["l"]))
-    s_places = [
-        SPlace(sp["label"], sp.get("kind", "nonarch"),
-               np.array(sp["gram"], dtype=np.int64).reshape(
-                   len(sp["minus1"]), len(sp["minus1"])) % fld.l,
-               np.array(sp["minus1"], dtype=np.int64) % fld.l,
-               bool(sp.get("flagged", True)))
-        for sp in obj["s_places"]
-    ]
-    outside = [OutsidePlace(op["label"], bool(op.get("flagged", True)))
+    fld = PrimeField(_json_int(obj["l"], "l"))
+    p = fld.l
+    s_places = []
+    for sp in obj["s_places"]:
+        minus1 = _json_ints(sp["minus1"], "minus1") % p
+        s_places.append(SPlace(
+            _json_str(sp["label"], "label"), sp.get("kind", "nonarch"),
+            _json_ints(sp["gram"], "gram").reshape(len(minus1), len(minus1)) % p,
+            minus1, _json_bool(sp.get("flagged", True), "flagged")))
+    outside = [OutsidePlace(_json_str(op["label"], "label"),
+                            _json_bool(op.get("flagged", True), "flagged"))
                for op in obj["outside_places"]]
     gens = [
-        DatumGenerator(g["label"],
-                       [np.array(v, dtype=np.int64) % fld.l for v in g["images"]],
-                       {t: int(e) for t, e in g.get("ord", {}).items()},
-                       {t: int(e) for t, e in g.get("frob", {}).items()})
+        DatumGenerator(_json_str(g["label"], "label"),
+                       [_json_ints(v, "images") % p for v in g["images"]],
+                       _json_int_map(g.get("ord", {}), "ord"),
+                       _json_int_map(g.get("frob", {}), "frob"))
         for g in obj["generators"]
     ]
     lag = obj.get("lagrangian")
     m1 = obj.get("minus1_coeffs")
     return GlobalSymbolDatum(
-        fld, bool(obj.get("sqrt_minus1", False)), s_places, outside, gens,
-        reciprocity=bool(obj.get("reciprocity", True)),
-        lagrangian=None if lag is None else np.array(lag, dtype=np.int64) % fld.l,
-        minus1_coeffs=None if m1 is None else np.array(m1, dtype=np.int64) % fld.l,
+        fld, _json_bool(obj.get("sqrt_minus1", False), "sqrt_minus1"),
+        s_places, outside, gens,
+        reciprocity=_json_bool(obj.get("reciprocity", True), "reciprocity"),
+        lagrangian=None if lag is None else _json_ints(lag, "lagrangian") % p,
+        minus1_coeffs=None if m1 is None else _json_ints(m1, "minus1_coeffs") % p,
     )

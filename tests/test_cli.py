@@ -6,9 +6,10 @@ import time
 
 import pytest
 
+from koszulity import cli
 from koszulity.cli import main
 
-EXIT_OK, EXIT_NON_KOSZUL, EXIT_INPUT, EXIT_DISAGREE = 0, 1, 2, 3
+EXIT_OK, EXIT_NON_KOSZUL, EXIT_INPUT, EXIT_DISAGREE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -267,3 +268,57 @@ def test_presentation_types_checked(capsys, monkeypatch, command, field, value):
     obj[field] = value
     assert_one_error_line(*run(capsys, command, "-", stdin=json.dumps(obj),
                                monkeypatch=monkeypatch))
+
+
+def change_path(obj, path, change):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = change(obj.get(path[-1]) if isinstance(obj, dict) else obj[path[-1]])
+
+
+# each array entry keeps its value and changes only its type, which the
+# loader used to accept silently (np.array truncates floats, reads bools as ints)
+@pytest.mark.parametrize("path,change", [
+    (("generators", 0, "ord"), lambda v: [1]),
+    (("generators", 0, "frob", "p"), lambda v: 1.5),
+    (("l",), lambda v: 2.9),
+    (("outside_places", 0, "flagged"), lambda v: "no"),
+    (("s_places", 0, "flagged"), int),
+    (("sqrt_minus1",), int),
+    (("reciprocity",), lambda v: "yes"),
+    (("s_places", 0, "label"), lambda v: 7),
+    (("outside_places", 0, "label"), lambda v: None),
+    (("generators", 0, "label"), lambda v: [v]),
+    (("s_places", 0, "gram", 0, 0), float),
+    (("s_places", 0, "minus1", 0), float),
+    (("generators", 0, "images", 0, 0), float),
+    (("lagrangian", 0, 0), float),
+    (("minus1_coeffs", 0), bool),
+], ids=["ord-list", "frob-float", "l-float", "flagged-string", "flagged-int",
+        "sqrt_minus1-int", "reciprocity-string", "s-label-int", "outside-label-null",
+        "generator-label-list", "gram-float", "minus1-float", "images-float",
+        "lagrangian-float", "minus1_coeffs-bool"])
+def test_datum_types_checked(capsys, monkeypatch, path, change):
+    _, out, _ = run(capsys, "gen", "global-general", "--l", "2", "--s-places", "2",
+                    "--real-places", "1")
+    obj = json.loads(out)
+    change_path(obj, path, change)
+    code, out, err = run(capsys, "check", "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert " must be " in err
+
+
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_internal_error_exits_4(capsys, tmp_path, monkeypatch, command):
+    def broken(*args, **kwargs):
+        raise AssertionError("bar differential fails d^2=0 at j=3")
+
+    monkeypatch.setattr(cli, "tor_algebra", broken)
+    path = write_json(tmp_path, "p.json", exterior2_presentation())
+    code, out, err = run(capsys, command, path)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error:")
+    assert "d^2=0" in lines[0] and "Traceback" not in err

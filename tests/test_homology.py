@@ -79,6 +79,29 @@ class TestBarAlgebra:
         a = exterior_algebra(2, n_max=3)
         with pytest.raises(ValueError):
             bar_tor_algebra(a, 4, 4)
+        for engine in homology.ENGINES:
+            for i_max in (0, 1, 4):
+                with pytest.raises(ValueError, match="truncation"):
+                    tor_algebra(a, i_max, 4, engine)
+
+    def test_window_i_max_zero(self):
+        a = exterior_algebra(3, l=3, n_max=4)
+        for engine in homology.ENGINES:
+            for j in range(5):
+                assert tor_algebra(a, 0, j, engine).dims == {(0, 0): 1}
+
+    def test_narrow_window_is_restriction(self):
+        rng = random.Random(113)
+        dense = degreewise_expand(
+            random_presentation(rng, 3, SymmetryMode.SUPERCOMMUTATIVE, 3, 2), 4)
+        cases = [(dense, ("auto", "bar", "resolution")),
+                 (exterior_algebra(3, l=3, n_max=4), homology.ENGINES)]
+        for a, engines in cases:
+            for engine in engines:
+                full = tor_algebra(a, 4, 4, engine).dims
+                for i_max in range(4):
+                    t = tor_algebra(a, i_max, 4, engine)
+                    assert t.dims == {k: v for k, v in full.items() if k[0] <= i_max}
 
 
 class TestBarModule:
@@ -156,6 +179,14 @@ class TestEngineAgreement:
         forced = tor_module(lam, m, 4, 4, engine="koszul")
         assert auto.dims == forced.dims
 
+    def test_unknown_engine_rejected(self):
+        a = exterior_algebra(2, n_max=3)
+        with pytest.raises(ValueError, match="unknown engine 'barr'"):
+            tor_module(a, augmentation_module(a, a), 3, 3, engine="barr")
+        for i_max in (0, 3):
+            with pytest.raises(ValueError, match="unknown engine 'barr'"):
+                tor_algebra(a, i_max, 3, engine="barr")
+
 
 class TestInvariants:
     def test_pbw_soundness(self):
@@ -188,15 +219,24 @@ class TestInvariants:
                     assert ta.entry(i, j) <= tg.entry(i, j)
 
     def test_euler_characteristic_engine_independent(self):
+        """sum_i (-1)^i dim H_{i,j} = [t^j] h_M(t) / h_A(t), from the Hilbert
+        functions alone (h_M = 1 for the algebra): the alternating sum of the
+        ranks of a minimal free resolution of M."""
         rng = random.Random(107)
-        a = degreewise_expand(
-            random_presentation(rng, 2, SymmetryMode.COMMUTATIVE, 3, 2), 4)
-        bar = bar_tor_algebra(a, 4, 4)
-        res = resolution_tor_algebra(a, 4, 4)
-        for j in range(5):
-            chi_b = sum((-1) ** i * bar.entry(i, j) for i in range(5))
-            chi_r = sum((-1) ** i * res.entry(i, j) for i in range(5))
-            assert chi_b == chi_r
+        for l in (2, 3, 5):
+            for mode in SymmetryMode:
+                a = degreewise_expand(
+                    random_presentation(rng, l, mode, 3, rng.randrange(1, 4)), 4)
+                modules = [augmentation_module(a, a),
+                           ideal_module(a, np.eye(3, dtype=np.int64)[rng.randrange(3)])]
+                for engine in ("bar", "resolution", "auto"):
+                    tables = [(tor_algebra(a, 4, 4, engine), [1])]
+                    tables += [(tor_module(a, m, 4, 4, engine), m.dims) for m in modules]
+                    for t, h_m in tables:
+                        expect = _series_quotient(h_m, a.dims, 4)
+                        for j in range(5):
+                            chi = sum((-1) ** i * t.entry(i, j) for i in range(5))
+                            assert chi == expect[j], (l, mode, engine, t.kind, j)
 
     def test_internal_degree_bound(self):
         rng = random.Random(109)
@@ -207,6 +247,15 @@ class TestInvariants:
             if d:
                 assert i <= j
         assert t.entry(0, 0) == 1
+
+
+def _series_quotient(num, den, n):
+    """Coefficients of num(t) / den(t) through t^n, for den[0] = 1."""
+    q = []
+    for j in range(n + 1):
+        c = num[j] if j < len(num) else 0
+        q.append(c - sum(q[k] * den[j - k] for k in range(j)))
+    return q
 
 
 def _corrupt(d, lower, p):
@@ -224,28 +273,29 @@ class TestCorruptedDifferential:
 
     def test_dense_bar(self, monkeypatch):
         a = polynomial_algebra(2, l=3, n_max=3)
+        m = augmentation_module(a, a)
         build = homology._DenseBar.differential
 
         def corrupted(bar, i):
             d = build(bar, i)
-            if bar.j == 3 and i == 3:
-                d = _corrupt(d, build(bar, 2), bar.p)
+            if bar.j == 3 and i == 2:
+                d = _corrupt(d, build(bar, 1), bar.p)
             return d
 
-        homology._bar_dense_table(a, None, 3, 3)
+        homology._bar_dense_table(a, m, 2, 3)
         monkeypatch.setattr(homology._DenseBar, "differential", corrupted)
         with pytest.raises(AssertionError, match=r"d\^2=0"):
-            homology._bar_dense_table(a, None, 3, 3)
+            homology._bar_dense_table(a, m, 2, 3)
 
     def test_split_bar(self, monkeypatch):
         a = polynomial_algebra(2, l=3, n_max=3)
         build = homology._split_block_diff
         previous = {}
 
-        def corrupted(st, src, tgt, module):
+        def corrupted(st, src, tgt):
             # blocks of one multidegree come in order of i, so the block
-            # built just before d_3 is d_2 of the same multidegree
-            d = build(st, src, tgt, module)
+            # built just before d_2 is d_1 of the same multidegree
+            d = build(st, src, tgt)
             if src and len(src[0]) == 3 and previous["d"].any():
                 d = _corrupt(d, previous["d"], st.p)
             previous["d"] = d
