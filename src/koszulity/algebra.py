@@ -381,9 +381,6 @@ class ModuleTruncation:
     def n_max(self) -> int:
         return len(self.dims) - 1
 
-    def apply_generator(self, g: int, n: int, vec: np.ndarray) -> np.ndarray:
-        return (self.action[n][g] @ vec) % self.algebra.fld.l
-
     def action_matrix(self, d: int, n: int) -> np.ndarray:
         """Matrix of A_d x M_n -> M_(n+d); column index = i_d * dims[n] + i_n."""
         key = (d, n)

@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields F_l.
 
 Everything here is deterministic integer arithmetic mod l.  Dense work is
-done on numpy int64 arrays; the sparse path keeps rows as dicts and is only
-worth it above a size threshold (small matrices are faster dense).
+done on numpy int64 arrays; sparse work keeps rows or columns as
+{index: value} dicts of Python ints.
 
 The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
 most l - 1 < 2^16 in absolute value, so a single product of two entries
@@ -82,8 +82,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -165,10 +164,8 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     red, pivots = rref(a, p)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[r, c])) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % p
     return basis
 
 
@@ -286,6 +283,12 @@ class SparseMatrixGF:
             a[i, j] = v % self.field.l
         return a
 
+    def columns(self) -> list[dict[int, int]]:
+        cols: list[dict[int, int]] = [dict() for _ in range(self.cols)]
+        for i, j, v in self.entries:
+            cols[j][i] = v % self.field.l
+        return cols
+
     def _row_dicts(self) -> list[dict[int, int]]:
         rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
         for i, j, v in self.entries:
@@ -325,6 +328,28 @@ def _sparse_rank(m: SparseMatrixGF) -> int:
         if not rows:
             break
     return rnk
+
+
+def dict_rank(vectors: list[dict[int, int]], p: int) -> int:
+    """Rank mod p of {index: value} vectors with no zeros stored, each reduced
+    against the pivots so far, keyed by least index, until it is zero or a
+    new pivot.  The vectors are not changed."""
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for v in map(dict, vectors):
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                pivots[lead] = (pow(v[lead], p - 2, p), v)
+                break
+            inv, piv = pivots[lead]
+            f = v[lead] * inv % p
+            for k, x in piv.items():
+                w = (v.get(k, 0) - f * x) % p
+                if w:
+                    v[k] = w
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def sparse_rank(m: SparseMatrixGF) -> int:

@@ -11,7 +11,9 @@ Four engines compute the same module table:
 * a dense bar complex, component by component, for small instances;
 * the same bar complex split by monomial multidegree when the algebra and
   module have a monomial basis — the differential preserves the total
-  exponent vector, so the complex decomposes into many tiny blocks;
+  exponent vector, so the complex decomposes into many tiny blocks of
+  sparse columns over integer indices, each checked for d^2=0 by its full
+  exact product and ranked by sparse elimination on its own;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
@@ -28,13 +30,15 @@ optimizations audited against them in the test suite.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import gf
 from .algebra import DegreewiseAlgebra, ModuleTruncation, augmentation_module
-from .monomials import Monomial, mono_mul
+from .monomials import Monomial, mono_enumerate
 
 
 class TorKind(enum.Enum):
@@ -198,102 +202,99 @@ def _bar_dense_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
 # --------------------------------------------------- multidegree-split bar
 
 
-class _MonomialStructure:
-    """Structure constants of a monomial algebra and module on basis
-    monomials, read off single columns of the product matrices."""
+class _SplitBasis:
+    """A monomial algebra and module in integers: the basis vectors of A_d
+    and M_e, d, e <= j_max, are the global indices in alg[d] and mod[e],
+    key[g] is g's exponent vector read in base n_max + 1 (so keys add under
+    products), and prod[g1, g2] = (coef, g) when g1 * g2 = coef * g != 0."""
 
-    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation):
-        if not a.monomial or a.basis_monomials is None:
-            raise ValueError("multidegree split needs a monomial basis")
-        if not m.monomial or m.basis_monomials is None:
-            raise ValueError("multidegree split needs a monomial module basis")
-        self.a, self.m = a, m
-        self.p = a.fld.l
-        self.aindex = [{mo: k for k, mo in enumerate(bs)} for bs in a.basis_monomials]
-        self.mindex = [{mo: k for k, mo in enumerate(bs)} for bs in m.basis_monomials]
-        self._pair: dict = {}
-        self._act: dict = {}
+    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j_max: int):
+        self.p, self.key, self.alg, self.mod = a.fld.l, [], [], []
+        for ranges, bases in ((self.alg, a.basis_monomials), (self.mod, m.basis_monomials)):
+            for monos in bases[:j_max + 1]:
+                ranges.append(range(len(self.key), len(self.key) + len(monos)))
+                self.key += [sum(e * (a.n_max + 1) ** r for r, e in mo.exps) for mo in monos]
+        self.prod: dict[tuple[int, int], tuple[int, int]] = {}
+        for d in range(1, j_max + 1):
+            for e in range(1, j_max + 1 - d):
+                for product, right in ((a.mult_matrix, self.alg), (m.action_matrix, self.mod)):
+                    if self.alg[d] and right[e] and right[d + e]:
+                        self._record(product(d, e), self.alg[d], right[e], right[d + e])
 
-    def pair(self, x: Monomial, y: Monomial):
-        """x*y in the algebra: (coef, basis monomial) or (0, None)."""
-        key = (x, y)
-        if key not in self._pair:
-            dx, dy = x.degree, y.degree
-            col = self.aindex[dx][x] * self.a.dims[dy] + self.aindex[dy][y]
-            self._pair[key] = _single_term(self.a.mult_matrix(dx, dy)[:, col],
-                                           self.a.basis_monomials[dx + dy])
-        return self._pair[key]
-
-    def act(self, x: Monomial, b: Monomial):
-        """x*b in the module: (coef, module basis monomial) or (0, None)."""
-        key = (x, b)
-        if key not in self._act:
-            dx, db = x.degree, b.degree
-            col = self.aindex[dx][x] * self.m.dims[db] + self.mindex[db][b]
-            self._act[key] = _single_term(self.m.action_matrix(dx, db)[:, col],
-                                          self.m.basis_monomials[dx + db])
-        return self._act[key]
+    def _record(self, mat: np.ndarray, left: range, src: range, tgt: range) -> None:
+        """Enter the products read off mat, whose column i * len(src) + k is
+        left[i] * src[k] in the basis tgt; a column with two nonzeros fails."""
+        rows, cols = np.nonzero(mat)
+        if np.unique(cols).size < cols.size:
+            raise ValueError("product is not monomial")
+        pairs = zip((left.start + cols // len(src)).tolist(),
+                    (src.start + cols % len(src)).tolist())
+        self.prod.update(zip(pairs, zip(mat[rows, cols].tolist(),
+                                        (tgt.start + rows).tolist())))
 
 
-def _single_term(v: np.ndarray, basis: list[Monomial]):
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        return 0, None
-    if nz.size > 1:
-        raise ValueError("product is not monomial")
-    k = int(nz[0])
-    return int(v[k]), basis[k]
-
-
-def _split_tuples(st: _MonomialStructure, i: int, j: int):
-    """All bar basis tuples (i algebra monomials, then one module monomial)
-    at (i, j), grouped by total multidegree."""
-    a, m = st.a, st.m
-    groups: dict[Monomial, list[tuple]] = {}
-
-    def rec(pos: int, remaining: int, prefix: tuple, multi: Monomial):
-        if pos == i:
-            for b in m.basis_monomials[remaining]:
-                groups.setdefault(mono_mul(multi, b), []).append(prefix + (b,))
-            return
-        # leave at least one degree for each later factor and for the module
-        for d in range(1, min(remaining - (i - pos), a.n_max) + 1):
-            for mo in a.basis_monomials[d]:
-                rec(pos + 1, remaining - d, prefix + (mo,), mono_mul(multi, mo))
-
-    rec(0, j, (), Monomial.unit())
+def _split_tuples(st: _SplitBasis, components) -> dict[int, list[tuple]]:
+    """Bar basis tuples (algebra indices, then a module index) of the given
+    components of a bar term, grouped by the key of their total multidegree."""
+    groups: dict[int, list[tuple]] = {}
+    for c, md in components:
+        for t in itertools.product(*(st.alg[d] for d in c), st.mod[md]):
+            groups.setdefault(sum(map(st.key.__getitem__, t)), []).append(t)
     return groups
 
 
-def _split_block_diff(st: _MonomialStructure, src: list[tuple],
-                      tgt: list[tuple]) -> np.ndarray:
-    p = st.p
+def _split_block_diff(st: _SplitBasis, src: list[tuple],
+                      tgt: list[tuple]) -> list[dict[int, int]]:
+    """The block of d from the tuples src to the tuples tgt, as one
+    {row: coef} column per source tuple.  The terms of one column differ in
+    the degree of the factor at the merged position, so no row is hit twice."""
+    p, prod = st.p, st.prod
     pos = {t: k for k, t in enumerate(tgt)}
-    d = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for col, t in enumerate(src):
+    cols = []
+    for t in src:
         # t = (a_1, ..., a_i, b): products of neighbours, the last one acting
+        col: dict[int, int] = {}
         for s in range(len(t) - 1):
-            coef, prod = (st.pair if s < len(t) - 2 else st.act)(t[s], t[s + 1])
-            if prod is None:
-                continue
-            new = t[:s] + (prod,) + t[s + 2:]
-            if new in pos:
-                sign = coef if s % 2 == 0 else -coef
-                d[pos[new], col] = (d[pos[new], col] + sign) % p
-    return d
+            hit = prod.get(t[s:s + 2])
+            row = hit and pos.get(t[:s] + (hit[1],) + t[s + 2:])
+            if row is not None:
+                col[row] = hit[0] if s % 2 == 0 else p - hit[0]
+        cols.append(col)
+    return cols
+
+
+def _columns_product_nonzero(lo: list[dict[int, int]], hi: list[dict[int, int]], p) -> bool:
+    """Is lo @ hi nonzero mod p, for matrices given as lists of {row: coef}
+    columns?  The full product, exactly."""
+    for col in hi:
+        acc: dict[int, int] = {}
+        for mid, v in col.items():
+            for r, w in lo[mid].items():
+                acc[r] = (acc.get(r, 0) + v * w) % p
+        if any(acc.values()):
+            return True
+    return False
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
-    st = _MonomialStructure(a, m)
+    """The bar table block by block: d keeps a tuple's total multidegree, so
+    each multidegree's blocks form a complex, checked and ranked on its own."""
+    st = _SplitBasis(a, m, j_max)
     dims: dict[tuple[int, int], int] = {}
     for j in range(1, j_max + 1):
         top = min(i_max + 1, j)
-        tiers = [_split_tuples(st, i, j) for i in range(top + 1)]
+        tiers = [_split_tuples(st, _DenseBar(a, m, j).components(i)) for i in range(top + 1)]
         for mu in set().union(*tiers):
             blocks = [t.get(mu, []) for t in tiers]
             diffs = [_split_block_diff(st, blocks[i], blocks[i - 1])
                      for i in range(1, top + 1)]
-            for i, h in enumerate(_homology(diffs, a.fld.l, j)):
+            for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
+                if _columns_product_nonzero(lo, hi, st.p):
+                    raise AssertionError(
+                        f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
+            ranks = [0] + [gf.dict_rank(d, st.p) for d in diffs]
+            for i in range(top):
+                h = len(blocks[i]) - ranks[i] - ranks[i + 1]
                 if h:
                     dims[(i, j)] = dims.get((i, j), 0) + h
     return dims
@@ -321,11 +322,7 @@ class _Layout:
         return out
 
     def dim(self, j: int) -> int:
-        b = self.blocks(j)
-        if not b:
-            return 0
-        e, vd, off = b[-1]
-        return off + self.a.dims[j - e] * vd
+        return sum(self.a.dims[j - e] * vd for e, vd, _ in self.blocks(j))
 
     def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
         """(basis vector u of A_d) * each column of vecs, degree j to j+d."""
@@ -379,15 +376,19 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
     for i in range(i_max + 1):
         vblocks, reps = [], {}
         for j in sorted(kernels):
-            span = gf.RowSpan(kernels[j].shape[1], p)
-            if j - 1 in kernels:
-                for g in range(a.num_generators):
-                    for v in layout.act(1, g, j - 1, kernels[j - 1].T).T:
-                        span.add(v)
-            rep = [row for row in kernels[j] if span.add(row)]
-            if rep:
+            # an echelon basis of A_1 K_(j-1), one generator at a time so
+            # that no matrix holds all of A_1 K_(j-1) at once
+            span = np.zeros((0, kernels[j].shape[1]), dtype=np.int64)
+            for g in range(a.num_generators if j - 1 in kernels else 0):
+                block = layout.act(1, g, j - 1, kernels[j - 1].T).T
+                span = gf.rref(np.vstack([span, block]), p)[0]
+            # the pivot columns of [span; K_j]^T past span are the rows of K_j
+            # that leave the span of everything before them
+            _, pivots = gf.rref(np.vstack([span, kernels[j]]).T, p)
+            rep = kernels[j][[c - len(span) for c in pivots if c >= len(span)]]
+            if len(rep):
                 vblocks.append((j, len(rep)))
-                reps[j] = np.array(rep, dtype=np.int64)
+                reps[j] = rep
                 dims[(i, j)] = len(rep)
         if i == i_max or not vblocks:
             break
@@ -417,7 +418,6 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
 
 def is_free_exterior(a: DegreewiseAlgebra) -> bool:
     """Does a have the dimensions (and mode) of the free exterior algebra?"""
-    from math import comb
     n = a.num_generators
     return a.mode.value == "super" and \
         all(a.dims[d] == comb(n, d) for d in range(a.n_max + 1))
@@ -429,7 +429,6 @@ def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation,
     resolution of k over the free exterior algebra; Gamma_i has the degree-i
     monomials in the dual variables as basis and d contracts one variable,
     multiplying the module element by the matching generator."""
-    from .monomials import mono_enumerate
     p = lam.fld.l
     src_md, tgt_md = j - i, j - i + 1
     src_b = mono_enumerate(lam.order, i, squarefree=False)
@@ -440,9 +439,7 @@ def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation,
     rows, cols = td * len(tgt_b), sd * len(src_b)
     entries = []
     if sd and td:
-        acted = {}
-        for g in range(lam.num_generators):
-            acted[g] = m.action[src_md][g] % p
+        acted = [m.action[src_md][g] % p for g in range(lam.num_generators)]
         for bcol, mono in enumerate(src_b):
             for g, e in mono.exps:
                 lower = tgt_pos[Monomial.from_dict(
@@ -455,18 +452,6 @@ def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation,
     return gf.SparseMatrixGF(lam.fld, rows, cols, tuple(entries))
 
 
-def _sparse_product_nonzero(lo: gf.SparseMatrixGF, hi: gf.SparseMatrixGF, p: int) -> bool:
-    """Is lo @ hi nonzero mod p?  The full sparse product, exactly."""
-    lo_col: dict[int, list[tuple[int, int]]] = {}
-    for r, c, val in lo.entries:
-        lo_col.setdefault(c, []).append((r, val))
-    prod: dict[tuple[int, int], int] = {}
-    for mid, c, val in hi.entries:
-        for r, lval in lo_col.get(mid, ()):
-            prod[r, c] = (prod.get((r, c), 0) + lval * val) % p
-    return any(prod.values())
-
-
 def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
                       i_max: int, j_max: int) -> TorTable:
     """Tor over a free exterior cover from the Cartan (Koszul) resolution."""
@@ -474,16 +459,14 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
         raise ValueError("the Koszul-complex engine needs a free exterior cover")
     if j_max > lam.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
-    from math import comb
     p = lam.fld.l
     dims: dict[tuple[int, int], int] = {}
     for j in range(1, j_max + 1):
         top = min(i_max, j - 1)
-        diffs = []
-        for i in range(1, top + 2):
-            diffs.append(_koszul_complex_diff(lam, m, i, j))
-        for k in range(len(diffs) - 1):
-            if _sparse_product_nonzero(diffs[k], diffs[k + 1], p):
+        diffs = [_koszul_complex_diff(lam, m, i, j) for i in range(1, top + 2)]
+        cols = [d.columns() for d in diffs]
+        for lo, hi in zip(cols, cols[1:]):
+            if _columns_product_nonzero(lo, hi, p):
                 raise AssertionError(f"Koszul complex fails d^2=0 at j={j}")
         ranks = [0] + [gf.sparse_rank(dmat) for dmat in diffs]
         for i in range(0, top + 1):
@@ -500,12 +483,13 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
 
 
 def _dense_cost(a, m, i_max, j_max) -> int:
-    worst = 0
-    for j in range(j_max + 1):
-        bar = _DenseBar(a, m, j)
-        for i in range(min(i_max, j) + 2):
-            worst = max(worst, bar.term_dim(i))
-    return worst
+    return max(_DenseBar(a, m, j).term_dim(i)
+               for j in range(j_max + 1) for i in range(min(i_max, j) + 2))
+
+
+def _monomial(a: DegreewiseAlgebra, m: ModuleTruncation) -> bool:
+    return a.monomial and m.monomial and a.basis_monomials is not None \
+        and m.basis_monomials is not None
 
 
 def bar_tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int) -> TorTable:
@@ -518,12 +502,8 @@ def bar_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
     """H_{i,j}(A, M) = Tor_{i,j}(k,M) from the reduced bar complex."""
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
-    if a.monomial and a.basis_monomials is not None and m.monomial \
-            and m.basis_monomials is not None:
-        dims = _bar_split_table(a, m, i_max, j_max)
-    else:
-        dims = _bar_dense_table(a, m, i_max, j_max)
-    return TorTable(TorKind.MODULE, i_max, j_max, dims)
+    table = _bar_split_table if _monomial(a, m) else _bar_dense_table
+    return TorTable(TorKind.MODULE, i_max, j_max, table(a, m, i_max, j_max))
 
 
 def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
@@ -601,9 +581,7 @@ def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
     if engine == "auto":
-        monomial = a.monomial and a.basis_monomials is not None \
-            and m.monomial and m.basis_monomials is not None
-        if monomial or _dense_cost(a, m, i_max, j_max) <= DENSE_BAR_LIMIT:
+        if _monomial(a, m) or _dense_cost(a, m, i_max, j_max) <= DENSE_BAR_LIMIT:
             engine = "bar"
         elif is_free_exterior(a):
             engine = "koszul"

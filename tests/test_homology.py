@@ -12,7 +12,7 @@ from koszulity.algebra import (ModuleTruncation, SymmetryMode,
 from koszulity import gf, homology
 from koszulity.gf import PrimeField
 from koszulity.graded import associated_graded, monomial_algebra, pbw_verdict
-from koszulity.graphs import cycle_graph, graph_algebra
+from koszulity.graphs import all_graphs, cycle_graph, graph_algebra
 from koszulity.homology import (TorKind, TorTable, bar_tor_algebra,
                                 bar_tor_module, is_free_exterior, koszul_scan,
                                 koszul_tor_module, resolution_tor_algebra,
@@ -20,7 +20,7 @@ from koszulity.homology import (TorKind, TorTable, bar_tor_algebra,
 from koszulity.monomials import GeneratorOrder
 
 from conftest import (exterior_algebra, gen_order, polynomial_algebra,
-                      random_presentation)
+                      presentation_from_strings, random_presentation)
 
 
 def diag_table(kind, entries, i_max=4, j_max=4):
@@ -188,6 +188,51 @@ class TestEngineAgreement:
                 tor_algebra(a, i_max, 3, engine="barr")
 
 
+class TestSplitBar:
+    """The multidegree-split bar against the dense bar, block sums against
+    whole components."""
+
+    @staticmethod
+    def _same(a, m, i_max, j_max):
+        assert homology._bar_split_table(a, m, i_max, j_max) == \
+            homology._bar_dense_table(a, m, i_max, j_max), (a.fld.l, a.mode, i_max, j_max)
+
+    def test_free_algebras_odd_l(self):
+        for l in (3, 5, 7):
+            for mode in SymmetryMode:
+                a = free_algebra(PrimeField(l), mode, gen_order(3), 4)
+                self._same(a, augmentation_module(a, a), 3, 4)
+                self._same(a, augmentation_module(a, a), 2, 3)
+
+    def test_over_exterior_cover_odd_l(self):
+        for l in (3, 5, 7):
+            lam = exterior_algebra(4, l=l, n_max=4)
+            a = graph_algebra(cycle_graph(4), PrimeField(l), n_max=4)
+            self._same(a, augmentation_module(a, a), 3, 4)
+            self._same(lam, augmentation_module(a, lam), 3, 4)
+            self._same(lam, augmentation_module(a, lam), 1, 2)
+
+    def test_graph_sample(self):
+        fld = PrimeField(2)
+        lam = exterior_algebra(5, l=2, n_max=4)
+        graphs = list(all_graphs(5))
+        for t in random.Random(113).sample(graphs, 6):
+            a = graph_algebra(t, fld, n_max=4)
+            self._same(a, augmentation_module(a, a), 3, 4)
+            self._same(lam, augmentation_module(a, lam), 3, 4)
+
+    def test_non_monomial_product_rejected(self):
+        # y*y = x^2 + x*y: the algebra is flagged monomial, but is not
+        a = degreewise_expand(presentation_from_strings(
+            3, SymmetryMode.COMMUTATIVE, ["x", "y"],
+            [[(1, "y^2"), (-1, "x^2"), (-1, "x*y")]]), 3)
+        a.monomial = True
+        with pytest.raises(ValueError, match="product is not monomial"):
+            homology._bar_split_table(a, augmentation_module(a, a), 2, 2)
+        with pytest.raises(ValueError, match="product is not monomial"):
+            tor_algebra(a, 3, 3, engine="bar")
+
+
 class TestInvariants:
     def test_pbw_soundness(self):
         """Quadratic presentations certified by the PBW criterion must have a
@@ -294,10 +339,16 @@ class TestCorruptedDifferential:
 
         def corrupted(st, src, tgt):
             # blocks of one multidegree come in order of i, so the block
-            # built just before d_2 is d_1 of the same multidegree
+            # built just before d_2 is d_1 of the same multidegree; its
+            # columns are indexed by the rows of d_2
             d = build(st, src, tgt)
-            if src and len(src[0]) == 3 and previous["d"].any():
-                d = _corrupt(d, previous["d"], st.p)
+            lower = previous.get("d", [])
+            if src and len(src[0]) == 3 and any(lower):
+                r = next(k for k, col in enumerate(lower) if col)
+                d = [dict(col) for col in d]
+                d[0][r] = (d[0].get(r, 0) + 1) % st.p
+                if not d[0][r]:
+                    del d[0][r]
             previous["d"] = d
             return d
 
