@@ -1,8 +1,9 @@
 """Exact linear algebra over prime fields F_l.
 
 Everything here is deterministic integer arithmetic mod l.  Dense work is
-done on numpy int64 arrays; sparse work keeps rows or columns as
-{index: value} dicts of Python ints.
+done on numpy int64 arrays.  There is one sparse elimination, `dict_rank`,
+on columns kept as {row: value} dicts of Python ints; `sparse_rank` runs it
+on the columns of a `SparseMatrixGF`.
 
 The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
 most l - 1 < 2^16 in absolute value, so a single product of two entries
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DENSE_THRESHOLD = 64
 
 # (MAX_MODULUS - 1)^2 < 2^32, so 2^31 products of reduced entries sum to
 # less than 2^63: int64 contractions are exact without any cap on dimensions.
@@ -277,67 +276,32 @@ class SparseMatrixGF:
         )
         return cls(fld, a.shape[0], a.shape[1], entries)
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, j, v in self.entries:
-            a[i, j] = v % self.field.l
-        return a
-
     def columns(self) -> list[dict[int, int]]:
         cols: list[dict[int, int]] = [dict() for _ in range(self.cols)]
         for i, j, v in self.entries:
             cols[j][i] = v % self.field.l
         return cols
 
-    def _row_dicts(self) -> list[dict[int, int]]:
-        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
-        for i, j, v in self.entries:
-            rows[i][j] = v % self.field.l
-        return rows
-
-
-def _sparse_rank(m: SparseMatrixGF) -> int:
-    p = m.field.l
-    rows = [r for r in m._row_dicts() if r]
-    rnk = 0
-    # pivot columns in ascending order; among candidate rows prefer the
-    # shortest (Markowitz-style) to limit fill-in
-    for c in range(m.cols):
-        cand = [i for i, r in enumerate(rows) if c in r]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: len(rows[i]))
-        prow = rows.pop(piv)
-        inv = pow(prow[c], p - 2, p)
-        prow = {j: (v * inv) % p for j, v in prow.items()}
-        nxt = []
-        for r in rows:
-            f = r.get(c)
-            if f:
-                r = dict(r)
-                for j, v in prow.items():
-                    w = (r.get(j, 0) - f * v) % p
-                    if w:
-                        r[j] = w
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        rows = nxt
-        rnk += 1
-        if not rows:
-            break
-    return rnk
-
 
 def dict_rank(vectors: list[dict[int, int]], p: int) -> int:
-    """Rank mod p of {index: value} vectors with no zeros stored, each reduced
-    against the pivots so far, keyed by least index, until it is zero or a
-    new pivot.  The vectors are not changed."""
+    """Rank mod p of {index: value} vectors with no zeros stored.
+
+    Each vector is reduced against the pivots so far, keyed by their
+    greatest index, until it is zero or becomes a new pivot.  The vectors
+    are not changed.
+
+    The key decides the fill-in, the entries that reductions add.  The
+    least row of a Koszul-complex column is shared by more columns than its
+    greatest row (11.9 against 7.1 on average, on the largest differential
+    of the 9-generator symplectic module at (5, 6)), so least-index pivots
+    chain more reductions: there they take 9 times the reduction steps and
+    store 5.5 times the entries.  On the split bar's blocks the two orders
+    are about even.
+    """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for v in map(dict, vectors):
         while v:
-            lead = min(v)
+            lead = max(v)
             if lead not in pivots:
                 pivots[lead] = (pow(v[lead], p - 2, p), v)
                 break
@@ -353,10 +317,5 @@ def dict_rank(vectors: list[dict[int, int]], p: int) -> int:
 
 
 def sparse_rank(m: SparseMatrixGF) -> int:
-    """Rank of m over F_l; falls back to dense elimination when small."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.rows <= DENSE_THRESHOLD and m.cols <= DENSE_THRESHOLD:
-        return rank(m.to_dense(), m.field.l)
-    return _sparse_rank(m)
-
+    """Rank of m over F_l, by `dict_rank` on its columns."""
+    return dict_rank(m.columns(), m.field.l)

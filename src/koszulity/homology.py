@@ -465,15 +465,13 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
         top = min(i_max, j - 1)
         diffs = [_koszul_complex_diff(lam, m, i, j) for i in range(1, top + 2)]
         cols = [d.columns() for d in diffs]
-        for lo, hi in zip(cols, cols[1:]):
+        for i, (lo, hi) in enumerate(zip(cols, cols[1:]), 1):
             if _columns_product_nonzero(lo, hi, p):
-                raise AssertionError(f"Koszul complex fails d^2=0 at j={j}")
+                raise AssertionError(f"Koszul complex fails d^2=0 at (i={i + 1}, j={j})")
         ranks = [0] + [gf.sparse_rank(dmat) for dmat in diffs]
-        for i in range(0, top + 1):
-            md = j - i
-            cdim = (m.dims[md] if 1 <= md <= m.n_max else 0) * comb(
-                lam.num_generators + i - 1, i)
-            h = cdim - ranks[i] - ranks[i + 1]
+        for i in range(top + 1):
+            # diffs[i] = d_(i+1) has the i-th term M_(j-i) (x) Gamma_i as target
+            h = diffs[i].rows - ranks[i] - ranks[i + 1]
             if h:
                 dims[(i, j)] = h
     return TorTable(TorKind.MODULE, i_max, j_max, dims)
@@ -511,7 +509,9 @@ def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
     """Fill the single missing entry (i_top, j_max) from the per-degree Euler
     characteristic of the reduced bar complex: the alternating sums of term
     dimensions (combinatorial) and of homology dimensions agree in each
-    internal degree, and every other entry in degree j_max is known."""
+    internal degree, and every other entry in degree j_max is known.  The
+    entry is defined by that identity, so the identity certifies nothing
+    there; only the bar complex can audit it."""
     bar = _DenseBar(a, m, j_max)
     chi = sum((-1) ** i * bar.term_dim(i) for i in range(i_top + 1))
     known = sum((-1) ** i * dims.get((i, j_max), 0) for i in range(i_top))
@@ -534,7 +534,8 @@ def resolution_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
     The final homological stage is the expensive one and only ever carries the
     entry (j_max - 1, j_max) within the window, so when the window reaches it
     the resolution is stopped one stage short and that entry is recovered from
-    the bar complex Euler characteristic in degree j_max.
+    the bar complex Euler characteristic in degree j_max.  An Euler check of
+    the table is then no check of that entry.
     """
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")

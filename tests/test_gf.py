@@ -106,8 +106,8 @@ def test_sparse_rank_matches_dense(seed, l, rows, cols):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, l, size=(rows, cols))
     m = SparseMatrixGF.from_dense(a, PrimeField(l))
-    # force the sparse elimination path and compare with dense elimination
-    assert gf._sparse_rank(m) == gf.rank(a, l)
+    # the sparse elimination, at every size, against dense elimination
+    assert gf.sparse_rank(m) == gf.rank(a, l)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,6 +199,29 @@ def test_rank_matches_rref(seed, p, rows, cols, inner, zeros):
                           rng.integers(0, p, size=(inner, cols)), p)
     a = a.astype(np.int64) * (rng.random((rows, cols)) >= zeros)
     assert gf.rank(a, p) == len(gf.rref(a, p)[1])
+
+
+def _dicts(a):
+    return [{k: int(x) for k, x in enumerate(v) if x} for v in a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 30), st.sampled_from(KERNEL_PRIMES),
+       st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+       st.floats(0.0, 0.95))
+def test_dict_rank_matches_dense(seed, p, rows, cols, inner, zeros):
+    # a low-rank product with a share of entries zeroed, from dense to
+    # sparse fills; rank A = rank A^T, so its columns and its rows both
+    # give the rank of dense elimination
+    rng = np.random.default_rng(seed)
+    a = reference_product(rng.integers(0, p, size=(rows, inner)),
+                          rng.integers(0, p, size=(inner, cols)), p)
+    a = a.astype(np.int64) * (rng.random((rows, cols)) >= zeros)
+    expect = gf.rank(a, p)
+    for vectors in (_dicts(a.T), _dicts(a)):
+        kept = [dict(v) for v in vectors]
+        assert gf.dict_rank(vectors, p) == expect
+        assert vectors == kept
 
 
 def test_rank_of_empty_shapes():
