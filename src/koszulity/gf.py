@@ -11,12 +11,6 @@ fits in 32 bits and an int64 contraction (a dot product, `@`, or the
 np.outer update of an elimination step) of up to 2^31 terms is exact.
 Chained products are reduced mod l between their factors, so that every
 contraction starts from reduced operands.
-
-Large products go through `matmul`, which multiplies in float64 with BLAS
-and is exact under the same kind of argument: with inner dimension k, every
-partial sum is an integer of absolute value at most k (l - 1)^2, and every
-integer below 2^53 is a float64.  Below MAX_MODULUS that holds for every
-k < 2^21; `matmul` checks it and raises rather than round.
 """
 
 from __future__ import annotations
@@ -124,26 +118,6 @@ def rank(a: np.ndarray, p: int) -> int:
         if r == m:
             break
     return r
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, exactly, through a float64 BLAS product.
-
-    The operands must be reduced mod p (entries of absolute value at most
-    p - 1).  With inner dimension k, each product of two entries is an
-    integer of absolute value at most (p - 1)^2, and each partial sum that
-    BLAS forms, in whatever order it adds and whether or not it fuses a
-    multiply with an add, is a sum of some of these products: an integer of
-    absolute value at most k (p - 1)^2.  When k (p - 1)^2 < 2^53 every such
-    integer is a float64, so no step rounds and the result is the exact
-    integer product, which is then reduced mod p in int64.  A larger k
-    raises ValueError instead of rounding.
-    """
-    k = a.shape[-1]
-    if k * (p - 1) ** 2 >= 2 ** 53:
-        raise ValueError(f"float64 product mod {p} is not exact with inner dimension {k}")
-    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return prod.astype(np.int64) % p
 
 
 def bilinear(u: np.ndarray, gram: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -6,14 +6,14 @@ module table of M = A_+ shifted up by one in i: A is free, so the sequence
 and Tor_{0,0}(k,k) = 1.  Term for term, the bar complex of A_+ in homological
 degree i is the reduced bar complex of k in degree i+1.
 
-Four engines compute the same module table:
+Three engines compute the same module table:
 
-* a dense bar complex, component by component, for small instances;
-* the same bar complex split by monomial multidegree when the algebra and
-  module have a monomial basis — the differential preserves the total
-  exponent vector, so the complex decomposes into many tiny blocks of
-  sparse columns over integer indices, each checked for d^2=0 by its full
-  exact product and ranked by sparse elimination on its own;
+* the bar complex on integer indices, as blocks of sparse columns, each
+  checked for d^2=0 by its full exact product and ranked by sparse
+  elimination on its own.  When the algebra and module have a monomial
+  basis the differential preserves the total exponent vector, so the
+  complex splits by multidegree into many tiny blocks; otherwise each
+  internal degree is one block, the unsplit bar;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
@@ -21,10 +21,10 @@ Four engines compute the same module table:
 * the Koszul complex M (x) Gamma, for modules over a free exterior algebra.
 
 `tor_module`'s `auto` rule, the only one, picks the bar complex when A and M
-are monomial or the largest dense bar term has at most DENSE_BAR_LIMIT basis
-vectors, else the Koszul complex over a free exterior algebra, else the
-resolution.  The bar engines are the ground truth; the others are
-optimizations audited against them in the test suite.
+are monomial or the largest unsplit bar term has at most DENSE_BAR_LIMIT
+basis vectors, else the Koszul complex over a free exterior algebra, else
+the resolution.  The bar complex is the ground truth; the others are
+optimizations audited against it in the test suite.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gf
 from .algebra import DegreewiseAlgebra, ModuleTruncation, augmentation_module
-from .monomials import Monomial, mono_enumerate
+from .monomials import mono_enumerate
 
 
 class TorKind(enum.Enum):
@@ -93,7 +93,7 @@ def koszul_scan(t: TorTable) -> KoszulVerdict:
     return KoszulVerdict(not offenders, offenders)
 
 
-# ---------------------------------------------------------------- dense bar
+# ------------------------------------------------------------- bar complex
 
 
 def _compositions(total: int, parts: int, dims) -> list[tuple[int, ...]]:
@@ -109,14 +109,13 @@ def _compositions(total: int, parts: int, dims) -> list[tuple[int, ...]]:
     return out
 
 
-class _DenseBar:
-    """Bar complex of a module M restricted to one internal degree j: the i-th
-    term is the sum of A_(c_1) (x) ... (x) A_(c_i) (x) M_md over compositions
+class _BarTerms:
+    """The terms of the bar complex of a module M in one internal degree j:
+    the i-th is the sum of A_(c_1) (x) ... (x) A_(c_i) (x) M_md over compositions
     c of j - md."""
 
     def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j: int):
         self.a, self.m, self.j = a, m, j
-        self.p = a.fld.l
 
     def components(self, i: int) -> list[tuple]:
         """Direct summands of the i-th term: (algebra-degree composition,
@@ -139,82 +138,26 @@ class _DenseBar:
     def term_dim(self, i: int) -> int:
         return sum(self.comp_dim(c) for c in self.components(i))
 
-    def differential(self, i: int) -> np.ndarray:
-        """Matrix of d_i: C_i -> C_(i-1)."""
-        src = self.components(i)
-        tgt_off, off = {}, 0
-        for c in self.components(i - 1):
-            tgt_off[c] = off
-            off += self.comp_dim(c)
-        rows = off
-        cols = sum(self.comp_dim(c) for c in src)
-        d = np.zeros((rows, cols), dtype=np.int64)
-        col_off = 0
-        for c, md in src:
-            w = self.comp_dim((c, md))
-            factor_dims = [self.a.dims[n] for n in c] + [self.m.dims[md]]
-            for s in range(len(c)):
-                if s < len(c) - 1:
-                    mult = self.a.mult_matrix(c[s], c[s + 1])
-                    newc = c[:s] + (c[s] + c[s + 1],) + c[s + 2:]
-                    key = (newc, md)
-                else:
-                    mult = self.m.action_matrix(c[s], md)
-                    key = (c[:s], md + c[s])
-                if key not in tgt_off:
-                    continue
-                left = int(np.prod(factor_dims[:s], dtype=np.int64))
-                right = int(np.prod(factor_dims[s + 2:], dtype=np.int64))
-                block = np.kron(np.eye(left, dtype=np.int64),
-                                np.kron(mult, np.eye(right, dtype=np.int64)))
-                sign = 1 if s % 2 == 0 else -1
-                r0 = tgt_off[key]
-                d[r0:r0 + block.shape[0], col_off:col_off + w] = \
-                    (d[r0:r0 + block.shape[0], col_off:col_off + w] + sign * block) % self.p
-            col_off += w
-        return d
-
-
-def _homology(diffs: list[np.ndarray], p: int, j: int) -> list[int]:
-    """Homology of a bar complex from its differentials diffs[k] = d_(k+1):
-    C_(k+1) -> C_k.  Checks every d_i d_(i+1) = 0 exactly, then returns
-    h_i = dim C_i - rank d_i - rank d_(i+1) for i < len(diffs), with d_0 = 0
-    and dim C_i the row count of d_(i+1)."""
-    for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
-        if lo.size and hi.size and gf.matmul(lo, hi, p).any():
-            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
-    ranks = [0] + [gf.rank(d, p) if d.size else 0 for d in diffs]
-    return [d.shape[0] - ranks[i] - ranks[i + 1] for i, d in enumerate(diffs)]
-
-
-def _bar_dense_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
-    # d_1 .. d_(i_max+1); past d_j every term vanishes in degree j
-    dims: dict[tuple[int, int], int] = {}
-    for j in range(1, j_max + 1):
-        bar = _DenseBar(a, m, j)
-        diffs = [bar.differential(i) for i in range(1, min(i_max + 1, j) + 1)]
-        for i, h in enumerate(_homology(diffs, a.fld.l, j)):
-            if h:
-                dims[(i, j)] = h
-    return dims
-
-
-# --------------------------------------------------- multidegree-split bar
-
 
 class _SplitBasis:
-    """A monomial algebra and module in integers: the basis vectors of A_d
-    and M_e, d, e <= j_max, are the global indices in alg[d] and mod[e],
-    key[g] is g's exponent vector read in base n_max + 1 (so keys add under
-    products), and prod[g1, g2] = (coef, g) when g1 * g2 = coef * g != 0."""
+    """The algebra and module in integers: the basis vectors of A_d and M_e,
+    d, e <= j_max, are the global indices in alg[d] and mod[e], and
+    prod[g1][g2] lists the terms (coef, g) of g1 * g2 != 0.  When A and M are
+    monomial, key[g] is g's exponent vector read in base n_max + 1, so keys
+    add under products; otherwise every key is 0."""
 
     def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j_max: int):
-        self.p, self.key, self.alg, self.mod = a.fld.l, [], [], []
-        for ranges, bases in ((self.alg, a.basis_monomials), (self.mod, m.basis_monomials)):
-            for monos in bases[:j_max + 1]:
-                ranges.append(range(len(self.key), len(self.key) + len(monos)))
-                self.key += [sum(e * (a.n_max + 1) ** r for r, e in mo.exps) for mo in monos]
-        self.prod: dict[tuple[int, int], tuple[int, int]] = {}
+        self.p, self.alg, self.mod = a.fld.l, [], []
+        size = 0
+        for ranges, dims in ((self.alg, a.dims), (self.mod, m.dims)):
+            for d in dims[:j_max + 1]:
+                ranges.append(range(size, size + d))
+                size += d
+        self.key = [sum(e * (a.n_max + 1) ** r for r, e in mo.exps)
+                    for bases in (a.basis_monomials, m.basis_monomials)
+                    for monos in bases[:j_max + 1] for mo in monos] \
+            if _monomial(a, m) else [0] * size
+        self.prod: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(size)]
         for d in range(1, j_max + 1):
             for e in range(1, j_max + 1 - d):
                 for product, right in ((a.mult_matrix, self.alg), (m.action_matrix, self.mod)):
@@ -222,20 +165,22 @@ class _SplitBasis:
                         self._record(product(d, e), self.alg[d], right[e], right[d + e])
 
     def _record(self, mat: np.ndarray, left: range, src: range, tgt: range) -> None:
-        """Enter the products read off mat, whose column i * len(src) + k is
-        left[i] * src[k] in the basis tgt; a column with two nonzeros fails."""
+        """Enter the terms read off mat, whose column i * len(src) + k is
+        left[i] * src[k] in the basis tgt.  A term whose key is not the sum of
+        its factors' keys fails: the product is then not monomial."""
+        key, prod, n = self.key, self.prod, len(src)
         rows, cols = np.nonzero(mat)
-        if np.unique(cols).size < cols.size:
-            raise ValueError("product is not monomial")
-        pairs = zip((left.start + cols // len(src)).tolist(),
-                    (src.start + cols % len(src)).tolist())
-        self.prod.update(zip(pairs, zip(mat[rows, cols].tolist(),
-                                        (tgt.start + rows).tolist())))
+        for r, c, v in zip((tgt.start + rows).tolist(), cols.tolist(),
+                           mat[rows, cols].tolist()):
+            g1, g2 = left.start + c // n, src.start + c % n
+            if key[r] != key[g1] + key[g2]:
+                raise ValueError("product is not monomial")
+            prod[g1].setdefault(g2, []).append((v, r))
 
 
 def _split_tuples(st: _SplitBasis, components) -> dict[int, list[tuple]]:
     """Bar basis tuples (algebra indices, then a module index) of the given
-    components of a bar term, grouped by the key of their total multidegree."""
+    components of a bar term, grouped by the sum of their keys."""
     groups: dict[int, list[tuple]] = {}
     for c, md in components:
         for t in itertools.product(*(st.alg[d] for d in c), st.mod[md]):
@@ -247,7 +192,8 @@ def _split_block_diff(st: _SplitBasis, src: list[tuple],
                       tgt: list[tuple]) -> list[dict[int, int]]:
     """The block of d from the tuples src to the tuples tgt, as one
     {row: coef} column per source tuple.  The terms of one column differ in
-    the degree of the factor at the merged position, so no row is hit twice."""
+    the degree of the factor at the merged position, or in that factor
+    itself, so no row is hit twice."""
     p, prod = st.p, st.prod
     pos = {t: k for k, t in enumerate(tgt)}
     cols = []
@@ -255,10 +201,10 @@ def _split_block_diff(st: _SplitBasis, src: list[tuple],
         # t = (a_1, ..., a_i, b): products of neighbours, the last one acting
         col: dict[int, int] = {}
         for s in range(len(t) - 1):
-            hit = prod.get(t[s:s + 2])
-            row = hit and pos.get(t[:s] + (hit[1],) + t[s + 2:])
-            if row is not None:
-                col[row] = hit[0] if s % 2 == 0 else p - hit[0]
+            for coef, g in prod[t[s]].get(t[s + 1], ()):
+                row = pos.get(t[:s] + (g,) + t[s + 2:])
+                if row is not None:
+                    col[row] = coef if s % 2 == 0 else p - coef
         cols.append(col)
     return cols
 
@@ -277,13 +223,15 @@ def _columns_product_nonzero(lo: list[dict[int, int]], hi: list[dict[int, int]],
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
-    """The bar table block by block: d keeps a tuple's total multidegree, so
-    each multidegree's blocks form a complex, checked and ranked on its own."""
+    """The bar table block by block: d keeps a tuple's total key, so each
+    key's blocks form a complex, checked and ranked on its own.  Keys are
+    multidegrees when A and M are monomial; otherwise all are 0, and each
+    internal degree j is one block."""
     st = _SplitBasis(a, m, j_max)
     dims: dict[tuple[int, int], int] = {}
     for j in range(1, j_max + 1):
         top = min(i_max + 1, j)
-        tiers = [_split_tuples(st, _DenseBar(a, m, j).components(i)) for i in range(top + 1)]
+        tiers = [_split_tuples(st, _BarTerms(a, m, j).components(i)) for i in range(top + 1)]
         for mu in set().union(*tiers):
             blocks = [t.get(mu, []) for t in tiers]
             diffs = [_split_block_diff(st, blocks[i], blocks[i - 1])
@@ -423,33 +371,44 @@ def is_free_exterior(a: DegreewiseAlgebra) -> bool:
         all(a.dims[d] == comb(n, d) for d in range(a.n_max + 1))
 
 
-def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation,
-                         i: int, j: int) -> gf.SparseMatrixGF:
+def _contractions(lam: DegreewiseAlgebra, i: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """Gamma_i and Gamma_(i-1), with the degree-i and degree-(i-1) monomials
+    in the dual variables as bases: their sizes, and a triple (column, g,
+    row) for each monomial of Gamma_i and each variable g in it, the row
+    being the monomial's contraction by g in Gamma_(i-1)."""
+    src_b = mono_enumerate(lam.order, i, squarefree=False)
+    tgt_pos = {mo.word(): k for k, mo in
+               enumerate(mono_enumerate(lam.order, i - 1, squarefree=False))}
+    triples = []
+    for bcol, mono in enumerate(src_b):
+        w = mono.word()
+        for g, _ in mono.exps:
+            k = w.index(g)
+            triples.append((bcol, g, tgt_pos[w[:k] + w[k + 1:]]))
+    return len(src_b), len(tgt_pos), triples
+
+
+def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation, i: int, j: int,
+                         gamma: tuple[int, int, list[tuple[int, int, int]]]) -> gf.SparseMatrixGF:
     """d: M_{j-i} (x) Gamma_i  ->  M_{j-i+1} (x) Gamma_{i-1} for the Cartan
-    resolution of k over the free exterior algebra; Gamma_i has the degree-i
-    monomials in the dual variables as basis and d contracts one variable,
+    resolution of k over the free exterior algebra; gamma is
+    `_contractions(lam, i)`.  d contracts one variable of the Gamma_i factor,
     multiplying the module element by the matching generator."""
     p = lam.fld.l
+    n_src, n_tgt, triples = gamma
     src_md, tgt_md = j - i, j - i + 1
-    src_b = mono_enumerate(lam.order, i, squarefree=False)
-    tgt_b = mono_enumerate(lam.order, i - 1, squarefree=False)
-    tgt_pos = {mo: k for k, mo in enumerate(tgt_b)}
     sd = m.dims[src_md] if 0 <= src_md <= m.n_max else 0
     td = m.dims[tgt_md] if 0 <= tgt_md <= m.n_max else 0
-    rows, cols = td * len(tgt_b), sd * len(src_b)
     entries = []
     if sd and td:
-        acted = [m.action[src_md][g] % p for g in range(lam.num_generators)]
-        for bcol, mono in enumerate(src_b):
-            for g, e in mono.exps:
-                lower = tgt_pos[Monomial.from_dict(
-                    {r: x - (1 if r == g else 0) for r, x in mono.exps})]
-                mat = acted[g]
-                for ti, si in zip(*np.nonzero(mat)):
-                    entries.append((int(ti) * len(tgt_b) + lower,
-                                    int(si) * len(src_b) + bcol,
-                                    int(mat[ti, si])))
-    return gf.SparseMatrixGF(lam.fld, rows, cols, tuple(entries))
+        acted = []
+        for g in range(lam.num_generators):
+            mat = m.action[src_md][g] % p
+            ti, si = np.nonzero(mat)
+            acted.append(list(zip(ti.tolist(), si.tolist(), mat[ti, si].tolist())))
+        for bcol, g, lower in triples:
+            entries += [(ti * n_tgt + lower, si * n_src + bcol, v) for ti, si, v in acted[g]]
+    return gf.SparseMatrixGF(lam.fld, td * n_tgt, sd * n_src, tuple(entries))
 
 
 def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
@@ -460,10 +419,11 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
     if j_max > lam.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
     p = lam.fld.l
+    gammas = {i: _contractions(lam, i) for i in range(1, min(i_max, j_max - 1) + 2)}
     dims: dict[tuple[int, int], int] = {}
     for j in range(1, j_max + 1):
         top = min(i_max, j - 1)
-        diffs = [_koszul_complex_diff(lam, m, i, j) for i in range(1, top + 2)]
+        diffs = [_koszul_complex_diff(lam, m, i, j, gammas[i]) for i in range(1, top + 2)]
         cols = [d.columns() for d in diffs]
         for i, (lo, hi) in enumerate(zip(cols, cols[1:]), 1):
             if _columns_product_nonzero(lo, hi, p):
@@ -481,7 +441,8 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
 
 
 def _dense_cost(a, m, i_max, j_max) -> int:
-    return max(_DenseBar(a, m, j).term_dim(i)
+    """Basis vectors in the largest unsplit bar term of the window."""
+    return max(_BarTerms(a, m, j).term_dim(i)
                for j in range(j_max + 1) for i in range(min(i_max, j) + 2))
 
 
@@ -500,8 +461,7 @@ def bar_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
     """H_{i,j}(A, M) = Tor_{i,j}(k,M) from the reduced bar complex."""
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
-    table = _bar_split_table if _monomial(a, m) else _bar_dense_table
-    return TorTable(TorKind.MODULE, i_max, j_max, table(a, m, i_max, j_max))
+    return TorTable(TorKind.MODULE, i_max, j_max, _bar_split_table(a, m, i_max, j_max))
 
 
 def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
@@ -512,7 +472,7 @@ def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
     internal degree, and every other entry in degree j_max is known.  The
     entry is defined by that identity, so the identity certifies nothing
     there; only the bar complex can audit it."""
-    bar = _DenseBar(a, m, j_max)
+    bar = _BarTerms(a, m, j_max)
     chi = sum((-1) ** i * bar.term_dim(i) for i in range(i_top + 1))
     known = sum((-1) ** i * dims.get((i, j_max), 0) for i in range(i_top))
     h = (-1) ** i_top * (chi - known)
@@ -575,7 +535,7 @@ def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int
                engine: str = "auto") -> TorTable:
     """Tor_{i,j}(k,M) over A by `engine`: "bar", "resolution", "koszul" or
     "auto".  The `auto` rule: the bar complex when A and M are monomial (the
-    multidegree split) or the largest dense bar term in the window has at
+    multidegree split) or the largest unsplit bar term in the window has at
     most DENSE_BAR_LIMIT basis vectors; else the Koszul complex when A is a
     free exterior algebra; else the resolution."""
     _check_engine(engine)

@@ -1,5 +1,6 @@
 """Bar-complex Tor tables, Koszul scans, and engine cross-audits."""
 
+import itertools
 import math
 import random
 
@@ -183,7 +184,8 @@ class TestEngineAgreement:
                 m = augmentation_module(a, lam)
                 assert any(max(d.rows, d.cols) > 64
                            for j in range(1, 5) for i in range(1, j + 1)
-                           for d in [homology._koszul_complex_diff(lam, m, i, j)])
+                           for d in [homology._koszul_complex_diff(
+                               lam, m, i, j, homology._contractions(lam, i))])
                 assert bar_tor_module(lam, m, 4, 4).dims == \
                     koszul_tor_module(lam, m, 4, 4).dims, (l, n)
 
@@ -203,14 +205,64 @@ class TestEngineAgreement:
                 tor_algebra(a, i_max, 3, engine="barr")
 
 
+def _dense_bar_table(a, m, i_max, j_max):
+    """The bar table from dense differentials, each summand's map the
+    Kronecker product I (x) mult (x) I, ranked by dense elimination: a
+    reference that shares no code with the engines' bar complex."""
+    p = a.fld.l
+
+    def terms(i, j):
+        # summands (algebra degrees, module degree) of the i-th term in degree j
+        return [(c, md) for md in range(1, j + 1) if m.dims[md]
+                for c in itertools.product(range(1, j + 1), repeat=i)
+                if sum(c) + md == j and all(a.dims[n] for n in c)]
+
+    def size(c, md):
+        return math.prod(a.dims[n] for n in c) * m.dims[md]
+
+    def differential(i, j):
+        src, tgt = terms(i, j), terms(i - 1, j)
+        offsets = dict(zip(tgt, itertools.accumulate([size(*t) for t in tgt], initial=0)))
+        d = np.zeros((sum(size(*t) for t in tgt), sum(size(*t) for t in src)), dtype=np.int64)
+        col = 0
+        for c, md in src:
+            factors = [a.dims[n] for n in c] + [m.dims[md]]
+            for s in range(i):
+                if s < i - 1:
+                    mult = a.mult_matrix(c[s], c[s + 1])
+                    key = (c[:s] + (c[s] + c[s + 1],) + c[s + 2:], md)
+                else:
+                    mult, key = m.action_matrix(c[s], md), (c[:s], md + c[s])
+                if key in offsets:
+                    block = np.kron(np.eye(math.prod(factors[:s]), dtype=np.int64),
+                                    np.kron(mult, np.eye(math.prod(factors[s + 2:]),
+                                                         dtype=np.int64)))
+                    r = offsets[key]
+                    d[r:r + block.shape[0], col:col + block.shape[1]] += (-1) ** s * block
+            col += size(c, md)
+        return d % p
+
+    dims = {}
+    for j in range(1, j_max + 1):
+        diffs = [differential(i, j) for i in range(1, min(i_max + 1, j) + 1)]
+        for lo, hi in zip(diffs, diffs[1:]):
+            assert not ((lo @ hi) % p).any()
+        ranks = [0] + [gf.rank(d, p) for d in diffs]
+        for i, d in enumerate(diffs):
+            h = d.shape[0] - ranks[i] - ranks[i + 1]
+            if h:
+                dims[(i, j)] = h
+    return dims
+
+
 class TestSplitBar:
-    """The multidegree-split bar against the dense bar, block sums against
-    whole components."""
+    """The bar complex, split by multidegree or one block per degree,
+    against a dense reference built from Kronecker products."""
 
     @staticmethod
     def _same(a, m, i_max, j_max):
         assert homology._bar_split_table(a, m, i_max, j_max) == \
-            homology._bar_dense_table(a, m, i_max, j_max), (a.fld.l, a.mode, i_max, j_max)
+            _dense_bar_table(a, m, i_max, j_max), (a.fld.l, a.mode, i_max, j_max)
 
     def test_free_algebras_odd_l(self):
         for l in (3, 5, 7):
@@ -235,6 +287,26 @@ class TestSplitBar:
             a = graph_algebra(t, fld, n_max=4)
             self._same(a, augmentation_module(a, a), 3, 4)
             self._same(lam, augmentation_module(a, lam), 3, 4)
+
+    def test_non_monomial_random(self):
+        # generic quadratic relations: products are not monomial, so each
+        # degree is one block; the algebra, A_+ and an ideal module
+        rng = random.Random(137)
+        for l in (2, 3, 5):
+            for mode, n in ((SymmetryMode.COMMUTATIVE, 3), (SymmetryMode.SUPERCOMMUTATIVE, 4)):
+                a = degreewise_expand(random_presentation(rng, l, mode, n, 2), 4)
+                plus = augmentation_module(a, a)
+                assert any(len(terms) > 1 for products in homology._SplitBasis(a, plus, 4).prod
+                           for terms in products.values()), (l, mode)
+                c = np.array([rng.randrange(l) for _ in range(n - 1)] + [1], dtype=np.int64)
+                for i_max, j_max in ((4, 4), (2, 4)):
+                    alg = {(i + 1, j): h for (i, j), h in
+                           _dense_bar_table(a, plus, i_max - 1, j_max).items()}
+                    assert tor_algebra(a, i_max, j_max, engine="bar").dims == \
+                        {(0, 0): 1, **alg}, (l, mode, i_max)
+                    for m in (plus, ideal_module(a, c)):
+                        assert tor_module(a, m, i_max, j_max, engine="bar").dims == \
+                            _dense_bar_table(a, m, i_max, j_max), (l, mode, i_max)
 
     def test_non_monomial_product_rejected(self):
         # y*y = x^2 + x*y: the algebra is flagged monomial, but is not
@@ -318,34 +390,39 @@ def _series_quotient(num, den, n):
     return q
 
 
-def _corrupt(d, lower, p):
-    """d with one entry changed so that lower @ d is no longer zero: the
-    entry sits in a row that meets a nonzero column of lower."""
-    r = int(np.flatnonzero(lower.any(axis=0))[0])
-    d = d.copy()
-    d[r, 0] = (d[r, 0] + 1) % p
-    return d
-
-
 class TestCorruptedDifferential:
     """Every d^2=0 check is a full exact product, so one wrong entry in one
     differential is always caught."""
 
     def test_dense_bar(self, monkeypatch):
-        a = polynomial_algebra(2, l=3, n_max=3)
+        # y*y = x^2 + x*y is not monomial, so degree 3 is one unsplit block
+        a = degreewise_expand(presentation_from_strings(
+            3, SymmetryMode.COMMUTATIVE, ["x", "y"],
+            [[(1, "y^2"), (-1, "x^2"), (-1, "x*y")]]), 3)
         m = augmentation_module(a, a)
-        build = homology._DenseBar.differential
+        assert not homology._monomial(a, m)
+        build = homology._split_block_diff
+        previous = {}
 
-        def corrupted(bar, i):
-            d = build(bar, i)
-            if bar.j == 3 and i == 2:
-                d = _corrupt(d, build(bar, 1), bar.p)
+        def corrupted(st, src, tgt):
+            # change entry (r, 0) of d_2 in degree 3, for r a row of d_2
+            # that indexes a nonzero column of d_1, the block built just
+            # before d_2 (blocks of one degree come in order of i, and d_2
+            # is empty below degree 3)
+            d = build(st, src, tgt)
+            if src and len(src[0]) == 3:
+                r = next(k for k, col in enumerate(previous["d"]) if col)
+                d = [dict(col) for col in d]
+                d[0][r] = (d[0].get(r, 0) + 1) % st.p
+                if not d[0][r]:
+                    del d[0][r]
+            previous["d"] = d
             return d
 
-        homology._bar_dense_table(a, m, 2, 3)
-        monkeypatch.setattr(homology._DenseBar, "differential", corrupted)
-        with pytest.raises(AssertionError, match=r"d\^2=0"):
-            homology._bar_dense_table(a, m, 2, 3)
+        homology._bar_split_table(a, m, 2, 3)
+        monkeypatch.setattr(homology, "_split_block_diff", corrupted)
+        with pytest.raises(AssertionError, match=r"d\^2=0 at \(i=2, j=3\)"):
+            homology._bar_split_table(a, m, 2, 3)
 
     def test_split_bar(self, monkeypatch):
         a = polynomial_algebra(2, l=3, n_max=3)
@@ -377,12 +454,13 @@ class TestCorruptedDifferential:
         m = augmentation_module(lam, lam)
         build = homology._koszul_complex_diff
 
-        def corrupted(lam, m, i, j):
+        def corrupted(lam, m, i, j, gamma):
             # change entry (r, 0) of d_2 in degree 3, for r a row of d_2
             # that indexes a nonzero column of d_1
-            d = build(lam, m, i, j)
+            d = build(lam, m, i, j, gamma)
             if i == 2 and j == 3:
-                r = next(k for k, col in enumerate(build(lam, m, 1, j).columns()) if col)
+                d_1 = build(lam, m, 1, j, homology._contractions(lam, 1))
+                r = next(k for k, col in enumerate(d_1.columns()) if col)
                 p = d.field.l
                 v = (d.columns()[0].get(r, 0) + 1) % p
                 entries = [e for e in d.entries if e[:2] != (r, 0)]
