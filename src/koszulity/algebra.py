@@ -141,22 +141,16 @@ class DegreeComponent:
 
     @classmethod
     def from_echelon(cls, monos, echelon: np.ndarray, p: int) -> "DegreeComponent":
+        """The echelon is reduced with pivots on the invlex-largest monomial
+        of each row, so every pivot column is zero in the other rows: a
+        pivot monomial is minus the rest of its row, in basis coordinates."""
         nm = len(monos)
-        # pivots sit on the invlex-largest monomial of each relation row
-        pivots = []
-        for row in echelon:
-            nz = np.nonzero(row)[0]
-            pivots.append(int(nz[-1]))
+        pivots = [int(np.flatnonzero(row)[-1]) for row in echelon]
         pivset = set(pivots)
         basis = [i for i in range(nm) if i not in pivset]
-        pos = {i: k for k, i in enumerate(basis)}
         proj = np.zeros((nm, len(basis)), dtype=np.int64)
-        for i in basis:
-            proj[i, pos[i]] = 1
-        for r, pc in enumerate(pivots):
-            for c in range(nm):
-                if c != pc and echelon[r, c]:
-                    proj[pc] = (proj[pc] - int(echelon[r, c]) * proj[c]) % p
+        proj[basis, range(len(basis))] = 1
+        proj[pivots] = (-echelon[:, basis]) % p
         return cls(list(monos), basis, proj)
 
 

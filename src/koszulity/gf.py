@@ -1,9 +1,12 @@
 """Exact linear algebra over prime fields F_l.
 
 Everything here is deterministic integer arithmetic mod l.  Dense work is
-done on numpy int64 arrays.  There is one sparse elimination, `dict_rank`,
-on columns kept as {row: value} dicts of Python ints; `sparse_rank` runs it
-on the columns of a `SparseMatrixGF`.
+done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
+kernels, solving and inverses all read its result.  There is one sparse
+elimination, `dict_rank`, on columns kept as {row: value} dicts of Python
+ints; `sparse_rank` runs it on the columns of a `SparseMatrixGF`.  The
+model generators draw a random element of a row space with
+`random_combination`.
 
 The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
 most l - 1 < 2^16 in absolute value, so a single product of two entries
@@ -92,32 +95,15 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    """Rank mod p by forward elimination only.
+    """Rank mod p: the number of pivots of `rref`."""
+    return len(rref(a, p)[1])
 
-    Each pivot row is swapped into place and scaled, and only the trailing
-    block (rows below the pivot, columns from the pivot on) is updated;
-    there is no back-substitution.
-    """
-    a = np.asarray(a, dtype=np.int64) % p
-    if a.size == 0:
-        return 0
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
-        rows = r + 1 + np.flatnonzero(a[r + 1:, c])
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        r += 1
-        if r == m:
-            break
-    return r
+
+def random_combination(rows: np.ndarray, rng, p: int) -> np.ndarray:
+    """A random element of the span of reduced rows: one `rng.randrange(p)`
+    draw per row, in row order, and one int64 product mod p."""
+    coeffs = np.array([rng.randrange(p) for _ in range(rows.shape[0])], dtype=np.int64)
+    return (coeffs @ rows) % p
 
 
 def bilinear(u: np.ndarray, gram: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -37,6 +37,17 @@ MINIMAL_DIMS = {
 }
 
 
+# the builders' bound on attempts before giving up on a seed
+MAX_TRIES = 200
+
+
+def _mode(l: int, sqrt_minus1: bool) -> SymmetryMode:
+    """Symbols commute only for l = 2 without sqrt(-1), where {x,x} = {-1,x}."""
+    if l != 2 or sqrt_minus1:
+        return SymmetryMode.SUPERCOMMUTATIVE
+    return SymmetryMode.COMMUTATIVE
+
+
 # ---------------------------------------------------------------------------
 # local models
 
@@ -70,9 +81,7 @@ class LocalCase:
 
     @property
     def mode(self) -> SymmetryMode:
-        if self.l != 2 or self.sqrt_minus1:
-            return SymmetryMode.SUPERCOMMUTATIVE
-        return SymmetryMode.COMMUTATIVE
+        return _mode(self.l, self.sqrt_minus1)
 
 
 def _hyperbolic_blocks(count: int, skew: bool, p: int) -> list[np.ndarray]:
@@ -259,9 +268,7 @@ class GlobalSymbolDatum:
 
     @property
     def mode(self) -> SymmetryMode:
-        if self.fld.l != 2 or self.sqrt_minus1:
-            return SymmetryMode.SUPERCOMMUTATIVE
-        return SymmetryMode.COMMUTATIVE
+        return _mode(self.fld.l, self.sqrt_minus1)
 
     def order(self) -> GeneratorOrder:
         return GeneratorOrder(tuple(g.label for g in self.generators))
@@ -300,11 +307,12 @@ class GlobalSymbolDatum:
             if sp.kind == "complex" or not sp.flagged:
                 continue
             out.append(int(gf.bilinear(g.images[i], sp.gram, h.images[i], p)))
+        square = gi == hi and self.mode is SymmetryMode.COMMUTATIVE
         for op in self.outside_places:
             if not op.flagged:
                 continue
             t = op.label
-            if gi == hi and self.mode is SymmetryMode.COMMUTATIVE:
+            if square:
                 # {x,x} = {-1,x}: the tame symbol picks up ord * frob(-1)
                 val = g.ord.get(t, 0) * self._frob_minus1(t)
             else:
@@ -334,13 +342,16 @@ class GlobalSymbolDatum:
                     errors.append(
                         f"place {sp.label}: diagonal does not match {{x,x}} = {{-1,x}}")
         ord_users: dict[str, list[str]] = {}
+        bad_images = False
         for g in self.generators:
             if len(g.images) != len(self.s_places):
                 errors.append(f"generator {g.label}: wrong number of local images")
+                bad_images = True
                 continue
             for i, sp in enumerate(self.s_places):
                 if g.images[i].shape != (sp.dim,):
                     errors.append(f"generator {g.label}: bad image at {sp.label}")
+                    bad_images = True
             for t, e in g.ord.items():
                 if t not in outside_labels:
                     errors.append(f"generator {g.label}: ord at unknown place {t}")
@@ -354,6 +365,8 @@ class GlobalSymbolDatum:
         for t, users in ord_users.items():
             if len(users) > 1:
                 errors.append(f"outside place {t} has several divisors: {users}")
+        if bad_images:
+            return errors  # the checks below read every image
         if self.minus1_coeffs is not None:
             tot = np.zeros(self.minus1_vector().shape[0], dtype=np.int64)
             for c, g in zip(self.minus1_coeffs, self.generators):
@@ -381,8 +394,7 @@ class GlobalSymbolDatum:
         return errors
 
     def block_gram(self) -> np.ndarray:
-        return _block_diag([sp.gram for sp in self.s_places]) if self.s_places \
-            else np.zeros((0, 0), dtype=np.int64)
+        return _block_diag([sp.gram for sp in self.s_places])
 
 
 def validate_reciprocity(d: GlobalSymbolDatum) -> tuple[bool, list[tuple[str, str]]]:
@@ -535,19 +547,25 @@ def _complete_frobs(raw, outside_order: list[str], big_gram: np.ndarray,
     return frobs
 
 
-def _split_images(w: np.ndarray, s_places: list[SPlace]) -> list[np.ndarray]:
-    out, off = [], 0
+def _offsets(s_places: list[SPlace]) -> dict[str, int]:
+    """Where each place's block starts in the concatenated local coordinates."""
+    offs, off = {}, 0
     for sp in s_places:
-        out.append(np.array(w[off:off + sp.dim], dtype=np.int64))
+        offs[sp.label] = off
         off += sp.dim
-    return out
+    return offs
+
+
+def _split_images(w: np.ndarray, s_places: list[SPlace]) -> list[np.ndarray]:
+    offs = _offsets(s_places)
+    return [np.array(w[offs[sp.label]:offs[sp.label] + sp.dim], dtype=np.int64)
+            for sp in s_places]
 
 
 def _assemble_datum(fld, sqrt_minus1, s_places, outside_labels, raw, free,
                     reciprocity=True, lagrangian=None, minus1_coeffs=None,
                     flagged_outside=None):
-    big = _block_diag([sp.gram for sp in s_places]) if s_places else \
-        np.zeros((0, 0), dtype=np.int64)
+    big = _block_diag([sp.gram for sp in s_places])
     frobs = _complete_frobs(raw, outside_labels, big, fld.l, free)
     gens = []
     for label, w, t in raw:
@@ -576,9 +594,18 @@ def _prediction_holds(d: GlobalSymbolDatum) -> bool:
 # global builders
 
 
+def _outside_counts(counts, names: str) -> tuple[int, int]:
+    """The two outside place counts of a global builder."""
+    counts = tuple(counts)
+    if len(counts) != 2:
+        raise ValueError(f"expected 2 outside place counts ({names}), got {len(counts)}")
+    if min(counts) < 0:
+        raise ValueError(f"outside place counts must be non-negative, got {counts}")
+    return counts
+
+
 def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
-                            sqrt_minus1: bool = False, seed: int = 0,
-                            max_tries: int = 200):
+                            sqrt_minus1: bool = False, seed: int = 0):
     """Totally imaginary model: S-places are hyperbolic planes, the unit
     group maps onto a random Lagrangian, and the outside generators tie
     every place to the first one.  Returns (datum, generator order)."""
@@ -587,11 +614,11 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
     if l == 2 and not sqrt_minus1:
         raise ValueError("the symplectic model needs odd l or sqrt(-1)")
     s = num_s_places
-    n_q, n_r = num_outside
-    if s < 2 or n_q < 1 or n_r < 0:
+    n_q, n_r = _outside_counts(num_outside, "q, r")
+    if s < 2 or n_q < 1:
         raise ValueError("need at least 2 S-places and one q-valuation")
     fld = PrimeField(l)
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         rng = random.Random(f"symplectic:{seed}:{attempt}")
         w = orthogonal_sum([hyperbolic_plane(fld) for _ in range(s)])
         lag = random_lagrangian(w, rng.randrange(1 << 30))
@@ -615,17 +642,11 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
         for i in range(1, s):
             raw.append((f"b{i}", brows[i], None))
         for k, t in enumerate(r_labels, start=1):
-            while True:
-                coeffs = [rng.randrange(l) for _ in range(s)]
-                if any(coeffs):
-                    break
-            img = np.zeros(w.dim, dtype=np.int64)
-            for c, row in zip(coeffs, mrows):
-                img = (img + c * row) % l
+            # the rows are independent: a zero image is a zero draw
+            img = gf.random_combination(mrows, rng, l)
+            while not img.any():
+                img = gf.random_combination(mrows, rng, l)
             raw.append((f"a_r{k}", img, t))
-
-        def pair(u, v):
-            return int(gf.bilinear(u, w.gram, v, l))
 
         img_of = {label: vec for label, vec, _ in raw}
         free: dict[tuple[str, str], int] = {}
@@ -633,18 +654,16 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
         for j in range(1, s):
             for i in range(j + 1, s):
                 free[(p_labels[j - 1], f"a_p{i}")] = \
-                    (-pair(img_of[f"a_p{j}"], img_of[f"a_p{i}"])) % l
+                    (-w.pair(img_of[f"a_p{j}"], img_of[f"a_p{i}"])) % l
             for k in range(1, n_q + 1):
                 free[(p_labels[j - 1], f"a_q{k}")] = \
-                    (-pair(img_of[f"a_p{j}"], img_of[f"a_q{k}"])) % l
+                    (-w.pair(img_of[f"a_p{j}"], img_of[f"a_q{k}"])) % l
         # the first q-valuation sees every a_r
         for k in range(1, n_r + 1):
             free[(q_labels[0], f"a_r{k}")] = 1
 
-        spl = [SPlace(f"v{i}", "nonarch",
-                      np.array([[0, 1], [(-1) % l, 0]], dtype=np.int64),
-                      np.zeros(2, dtype=np.int64))
-               for i in range(s)]
+        spl = [SPlace(f"v{i}", "nonarch", gram, np.zeros(2, dtype=np.int64))
+               for i, gram in enumerate(_hyperbolic_blocks(s, True, l))]
         d = _assemble_datum(fld, sqrt_minus1, spl, outside, raw, free,
                             lagrangian=lag.basis)
         if _prediction_holds(d):
@@ -652,31 +671,15 @@ def build_global_symplectic(num_s_places: int, num_outside=(1, 1), l: int = 3,
     raise RuntimeError("could not build a spanning symplectic global model")
 
 
-def _u0_gram(num_real: int):
-    """Pairing block of the distinguished place over 2, sized so the total
-    S-pairing is even-dimensional and {-1,-1} sums to zero with the reals."""
-    hyp = _hyperbolic_blocks((num_real - num_real % 2) // 2, False, 2)
-    if num_real % 2:
-        head = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int64)
-        gram = _block_diag([head] + hyp)
-        minus1 = np.zeros(gram.shape[0], dtype=np.int64)
-        minus1[1] = 1
-    else:
-        head = np.array([[0, 1], [1, 1]], dtype=np.int64)
-        gram = _block_diag([head] + hyp)
-        minus1 = np.zeros(gram.shape[0], dtype=np.int64)
-        minus1[0] = 1
-    return gram, minus1
-
-
 def _general_s_places(num_s: int, num_real: int):
-    na = num_s - num_real
+    """The place u0 over 2 is sized so that the total S-pairing is
+    even-dimensional and {-1,-1} sums to zero with the reals; the other
+    nonarchimedean places are planes."""
+    u0 = LocalCase("two_nonzero" if num_real % 2 else "two_zero", num_real + 2, 2)
     spl = []
-    g0, m0 = _u0_gram(num_real)
-    spl.append(SPlace("u0", "nonarch", g0, m0))
-    std = np.array([[0, 1], [1, 1]], dtype=np.int64)
-    for i in range(1, na):
-        spl.append(SPlace(f"u{i}", "nonarch", std, np.array([1, 0])))
+    for i, case in enumerate([u0] + [LocalCase("two_zero", 2, 2)] * (num_s - num_real - 1)):
+        gram, t = local_gram(case)
+        spl.append(SPlace(f"u{i}", "nonarch", gram, np.eye(case.dim, dtype=np.int64)[t]))
     for i in range(1, num_real + 1):
         spl.append(SPlace(f"v{i}", "real", np.array([[1]]), np.array([1])))
     return spl
@@ -686,10 +689,7 @@ def _rand_solution(a: np.ndarray, b: np.ndarray, rng, p: int) -> np.ndarray | No
     x0 = gf.solve_combination(a.T, b, p)
     if x0 is None:
         return None
-    ns = gf.nullspace(a, p)
-    for c, row in zip([rng.randrange(p) for _ in range(ns.shape[0])], ns):
-        x0 = (x0 + c * row) % p
-    return x0
+    return (x0 + gf.random_combination(gf.nullspace(a, p), rng, p)) % p
 
 
 def _build_unit_lagrangian(spl, rng, p, c_vec=None):
@@ -703,22 +703,11 @@ def _build_unit_lagrangian(spl, rng, p, c_vec=None):
     nS = len(spl)
     big = _block_diag([sp.gram for sp in spl])
     minus1 = np.concatenate([sp.minus1 for sp in spl])
-    offs, off = {}, 0
-    for sp in spl:
-        offs[sp.label] = off
-        off += sp.dim
+    offs = _offsets(spl)
     real = [sp for sp in spl if sp.kind == "real"]
-    na_cols = []
-    for sp in spl:
-        if sp.kind == "nonarch":
-            na_cols.extend(range(offs[sp.label], offs[sp.label] + sp.dim))
+    na_cols = [offs[sp.label] + k for sp in spl if sp.kind == "nonarch"
+               for k in range(sp.dim)]
     real_cols = [offs[sp.label] for sp in real]
-
-    def embed_na(z):
-        out = np.zeros(dim, dtype=np.int64)
-        out[na_cols] = z
-        return out
-
     q_row = (big @ minus1) % p  # <-1, .> as a row over the full space
     a_vs = []
     rows = [q_row[na_cols]]
@@ -726,11 +715,12 @@ def _build_unit_lagrangian(spl, rng, p, c_vec=None):
     if c_vec is not None:
         rows.append(((big @ c_vec) % p)[na_cols])
         rhs.append(0)
-    for v_i, sp in enumerate(real):
+    for sp in real:
         z = _rand_solution(np.array(rows), np.array(rhs), rng, p)
         if z is None:
             return None
-        av = embed_na(z)
+        av = np.zeros(dim, dtype=np.int64)
+        av[na_cols] = z
         av[offs[sp.label]] = 1
         a_vs.append(av)
         rows.append(((big @ av) % p)[na_cols])
@@ -742,19 +732,14 @@ def _build_unit_lagrangian(spl, rng, p, c_vec=None):
     for av in a_vs:
         span.add(av)
     k_plus = [] if c_vec is None else [np.array(c_vec, dtype=np.int64)]
-    k1 = np.array(minus1, dtype=np.int64)
-    for av in a_vs:
-        k1 = (k1 + av) % p
-    k_plus.append(k1)
+    k_plus.append((minus1 + sum(a_vs)) % p)
     while span.dim < nS:
         cons = np.concatenate(
             [(span.matrix() @ big) % p,
              np.eye(dim, dtype=np.int64)[real_cols]], axis=0)
         ns = gf.nullspace(cons, p)
         for _ in range(64):
-            z = np.zeros(dim, dtype=np.int64)
-            for row in ns:
-                z = (z + rng.randrange(p) * row) % p
+            z = gf.random_combination(ns, rng, p)
             if not span.contains(z):
                 break
         else:
@@ -767,28 +752,25 @@ def _build_unit_lagrangian(spl, rng, p, c_vec=None):
     return minus1, a_vs, k_plus, lag
 
 
-def _pick_w_u(sp: SPlace, off: int, k_plus, rng, p: int) -> np.ndarray | None:
-    """Local element orthogonal to -1 whose pairing is nonzero on K^+."""
-    cons = ((sp.gram @ sp.minus1) % p).reshape(1, -1)
-    ns = gf.nullspace(cons, p)
-    for _ in range(128):
-        z = np.zeros(sp.dim, dtype=np.int64)
-        for row in ns:
-            z = (z + rng.randrange(p) * row) % p
-        if not z.any():
-            continue
-        if any(gf.bilinear(k[off:off + sp.dim], sp.gram, z, p) for k in k_plus):
+def _orthogonal_to_minus1(sp: SPlace, rng, p: int, tries: int,
+                          accept) -> np.ndarray | None:
+    """A random nonzero local class z with {-1,z} = 0 at the place that
+    passes accept(z), or None after `tries` draws."""
+    ns = gf.nullspace(((sp.gram @ sp.minus1) % p).reshape(1, -1), p)
+    for _ in range(tries):
+        z = gf.random_combination(ns, rng, p)
+        if z.any() and accept(z):
             return z
     return None
 
 
 def _general_core(num_s_places, num_real_places, outside_counts, seed, tag,
-                  num_c_places=0, max_tries=200):
+                  num_c_places=0):
     """Shared skeleton of the l=2 global builders, with or without a
     distinguished annihilator element c."""
     fld = PrimeField(2)
     p = 2
-    n_ra, n_rb = outside_counts
+    n_ra, n_rb = _outside_counts(outside_counts, "r', r''")
     na = num_s_places - num_real_places
     if num_real_places < 1 or na < 1 + (1 if num_c_places else 0):
         raise ValueError("need at least one real and enough nonarch places")
@@ -796,14 +778,11 @@ def _general_core(num_s_places, num_real_places, outside_counts, seed, tag,
         raise ValueError("c must be supported on a proper nonempty set of places")
     if n_rb > 0 and n_ra < 1:
         raise ValueError("each r'' valuation needs an r' partner")
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         rng = random.Random(f"{tag}:{seed}:{attempt}")
         spl = _general_s_places(num_s_places, num_real_places)
         dim = sum(sp.dim for sp in spl)
-        offs, off = {}, 0
-        for sp in spl:
-            offs[sp.label] = off
-            off += sp.dim
+        offs = _offsets(spl)
         nonarch = [sp for sp in spl if sp.kind == "nonarch"]
         c_vec = None
         c_places: list[str] = []
@@ -811,7 +790,8 @@ def _general_core(num_s_places, num_real_places, outside_counts, seed, tag,
             # support c on the last few nonarch places, away from u0
             c_vec = np.zeros(dim, dtype=np.int64)
             for sp in nonarch[-num_c_places:]:
-                z = _pick_local_isotropic(sp, rng, p)
+                # at l = 2, {z,z} = {-1,z}: z is isotropic
+                z = _orthogonal_to_minus1(sp, rng, p, 64, lambda z: True)
                 if z is None:
                     break
                 c_vec[offs[sp.label]:offs[sp.label] + sp.dim] = z
@@ -824,15 +804,17 @@ def _general_core(num_s_places, num_real_places, outside_counts, seed, tag,
         minus1, a_vs, k_plus, lag = built
         q_places = [sp for sp in nonarch if sp.label not in c_places]
         w_us = {}
-        ok = True
         for sp in q_places:
-            z = _pick_w_u(sp, offs[sp.label], k_plus, rng, p)
+            # w_u pairs nontrivially with K^+ at its place
+            o = offs[sp.label]
+            z = _orthogonal_to_minus1(
+                sp, rng, p, 128,
+                lambda z: any(gf.bilinear(k[o:o + sp.dim], sp.gram, z, p) for k in k_plus))
             if z is None:
-                ok = False
                 break
             w_us[sp.label] = np.zeros(dim, dtype=np.int64)
-            w_us[sp.label][offs[sp.label]:offs[sp.label] + sp.dim] = z
-        if not ok:
+            w_us[sp.label][o:o + sp.dim] = z
+        if len(w_us) != len(q_places):
             continue
 
         q_labels = [f"q_{sp.label}" for sp in q_places]
@@ -887,19 +869,6 @@ def _general_core(num_s_places, num_real_places, outside_counts, seed, tag,
     raise RuntimeError(f"could not build a spanning {tag} global model")
 
 
-def _pick_local_isotropic(sp: SPlace, rng, p: int) -> np.ndarray | None:
-    """Nonzero local class z with {z,z} = {-1,z} = 0 at the place."""
-    cons = ((sp.gram @ sp.minus1) % p).reshape(1, -1)
-    ns = gf.nullspace(cons, p)
-    for _ in range(64):
-        z = np.zeros(sp.dim, dtype=np.int64)
-        for row in ns:
-            z = (z + rng.randrange(p) * row) % p
-        if z.any():
-            return z
-    return None
-
-
 def build_global_general(num_s_places: int, num_real_places: int,
                          outside_counts=(1, 1), l: int = 2, seed: int = 0):
     """l = 2 model with real places.  Returns (datum, generator order)."""
@@ -916,12 +885,14 @@ def build_annihilator(num_s_places: int, num_real_places: int,
     Returns (datum, generator order); c is the first generator."""
     if l != 2:
         raise ValueError("the annihilator model requires l = 2")
+    if num_c_places < 1:
+        raise ValueError("the annihilator model needs c on at least one place")
     return _general_core(num_s_places, num_real_places, outside_counts, seed,
                          tag="annihilator", num_c_places=num_c_places)
 
 
 def build_noroot(num_u: int, num_r: int, l: int = 3, seed: int = 0,
-                 variant: int = 1, num_c_places: int = 1, num_k: int = 1):
+                 variant: int = 1, num_c_places: int = 1):
     """Model without global l-th roots of unity: only flagged places carry
     symbol coordinates and no reciprocity constraint ties them together.
 
@@ -936,9 +907,8 @@ def build_noroot(num_u: int, num_r: int, l: int = 3, seed: int = 0,
         raise ValueError("bad c support size")
     fld = PrimeField(l)
     rng = random.Random(f"noroot:{variant}:{seed}")
-    skew = np.array([[0, 1], [(-1) % l, 0]], dtype=np.int64)
-    spl = [SPlace(f"u{i}", "nonarch", skew, np.zeros(2, dtype=np.int64))
-           for i in range(num_u)]
+    spl = [SPlace(f"u{i}", "nonarch", gram, np.zeros(2, dtype=np.int64))
+           for i, gram in enumerate(_hyperbolic_blocks(num_u, True, l))]
     dim = 2 * num_u
 
     def local(i, vec):
@@ -986,9 +956,8 @@ def build_noroot(num_u: int, num_r: int, l: int = 3, seed: int = 0,
         for q, rl in zip(q_labels, r_labels):
             outside.append(OutsidePlace(q, False))
             add_gen(f"a_{q}", np.zeros(dim), q, {rl: 1})
-    for j in range(1, num_k + 1):
-        w = np.array([rng.randrange(l) for _ in range(dim)], dtype=np.int64)
-        add_gen(f"k{j}", w, None, {t: rng.randrange(l) for t in r_labels})
+    k1 = np.array([rng.randrange(l) for _ in range(dim)], dtype=np.int64)
+    add_gen("k1", k1, None, {t: rng.randrange(l) for t in r_labels})
     for rl in r_labels:
         outside.append(OutsidePlace(rl, True))
         add_gen(f"a_{rl}", np.zeros(dim), rl, {})

@@ -183,11 +183,7 @@ def random_lagrangian(w: BilinearSpace, seed: int) -> Subspace:
     while span.dim < w.dim // 2:
         perp = w.orthogonal_complement(span.matrix())
         for _ in range(1000):
-            coeffs = [rng.randrange(p) for _ in range(perp.shape[0])]
-            v = np.zeros(w.dim, dtype=np.int64)
-            for c, row in zip(coeffs, perp):
-                v = (v + c * row) % p
-            if span.add(v):
+            if span.add(gf.random_combination(perp, rng, p)):
                 break
         else:
             raise AssertionError("failed to extend isotropic subspace")

@@ -322,3 +322,45 @@ def test_internal_error_exits_4(capsys, tmp_path, monkeypatch, command):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error:")
     assert "d^2=0" in lines[0] and "Traceback" not in err
+
+
+def drop_last_image(obj):
+    obj["generators"][0]["images"].pop()
+
+
+def shorten_first_image(obj):
+    obj["generators"][0]["images"][0].pop()
+
+
+# the validator flags malformed images and stops there: the -1, Lagrangian
+# and reciprocity checks that follow read every image
+@pytest.mark.parametrize("damage,message", [
+    (drop_last_image, "wrong number of local images"),
+    (shorten_first_image, "bad image at v0"),
+], ids=["missing-image", "short-image"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_malformed_images_exit_2(capsys, monkeypatch, command, damage, message):
+    _, out, _ = run(capsys, "gen", "global-symplectic", "--l", "3")
+    obj = json.loads(out)
+    damage(obj)
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["annihilator", "--c-places", "0"], "c on at least one place"),
+    (["annihilator", "--outside=-1,0"], "non-negative"),
+    (["global-general", "--outside=-1,0"], "non-negative"),
+    (["global-general", "--outside=0,-1"], "non-negative"),
+    (["global-symplectic", "--l", "3", "--outside=1"], "expected 2 outside place counts"),
+    (["global-general", "--outside=1"], "expected 2 outside place counts"),
+    (["annihilator", "--outside=1,1,1"], "expected 2 outside place counts"),
+], ids=["annihilator-no-c", "annihilator-negative", "general-negative-ra",
+        "general-negative-rb", "symplectic-arity", "general-arity", "annihilator-arity"])
+def test_gen_rejects_bad_counts(capsys, argv, message):
+    defaults = {"annihilator": ["--s-places", "3"]}.get(argv[0], [])
+    code, out, err = run(capsys, "gen", *argv, *defaults)
+    assert_one_error_line(code, out, err)
+    assert message in err

@@ -1,5 +1,7 @@
 """Exact linear algebra over F_l: rank, kernels, membership, sparse audit."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,3 +195,15 @@ def test_dict_rank_matches_dense(seed, p, rows, cols, inner, zeros):
 def test_rank_of_empty_shapes():
     for shape in ((0, 0), (0, 3), (3, 0)):
         assert gf.rank(np.zeros(shape, dtype=np.int64), 3) == 0
+
+
+@pytest.mark.parametrize("p,shape", [(2, (3, 5)), (65521, (4, 4)), (3, (0, 3))])
+def test_random_combination_draws_one_coefficient_per_row(p, shape):
+    rows = np.random.default_rng(p).integers(0, p, size=shape)
+    drawn, rng = random.Random(7), random.Random(7)
+    got = gf.random_combination(rows, drawn, p)
+    want = np.zeros(shape[1], dtype=np.int64)
+    for row in rows:
+        want = (want + rng.randrange(p) * row) % p
+    assert np.array_equal(got, want)
+    assert drawn.random() == rng.random()  # the streams stay in step
