@@ -148,7 +148,8 @@ def cmd_check(args) -> int:
     return code
 
 
-def _parse_outside(s: str) -> tuple[int, ...]:
+def _parse_outside(s: str | None, default: str) -> tuple[int, ...]:
+    s = default if s is None else s
     try:
         return tuple(int(x) for x in s.split(","))
     except ValueError as e:
@@ -179,22 +180,26 @@ def cmd_gen(args) -> int:
             obj = presentation_to_json(local_presentation(lc))
         elif case == "global-symplectic":
             d, _ = build_global_symplectic(
-                args.s_places, _parse_outside(args.outside), l=args.l,
+                args.s_places, _parse_outside(args.outside, "1,1"), l=args.l,
                 sqrt_minus1=args.sqrt_minus1, seed=args.seed)
             obj = datum_to_json(d)
         elif case == "global-general":
             d, _ = build_global_general(
-                args.s_places, args.real_places, _parse_outside(args.outside),
+                args.s_places, args.real_places, _parse_outside(args.outside, "1,1"),
                 l=args.l, seed=args.seed)
             obj = datum_to_json(d)
         elif case == "global-annihilator":
             d, _ = build_annihilator(
                 args.s_places, args.real_places, args.c_places,
-                _parse_outside(args.outside), l=args.l, seed=args.seed)
+                _parse_outside(args.outside, "1,1"), l=args.l, seed=args.seed)
             obj = datum_to_json(d)
         elif case in ("global-noroot", "global-noroot-annihilator"):
             variant = 1 if case == "global-noroot" else 2
-            num_r, = _parse_outside(args.outside)[:1] or (1,)
+            counts = _parse_outside(args.outside, "1")
+            if len(counts) != 1:
+                raise InputError(f"expected 1 outside place count (r) for {case}, "
+                                 f"got {len(counts)}")
+            num_r, = counts
             d, _ = build_noroot(args.s_places, num_r, l=args.l, seed=args.seed,
                                 variant=variant, num_c_places=args.c_places)
             obj = datum_to_json(d)
@@ -242,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=2, help="local generator dim")
     gen.add_argument("--s-places", type=int, default=2)
     gen.add_argument("--real-places", type=int, default=1)
-    gen.add_argument("--outside", default="1,1", help="outside place counts, comma-separated")
+    gen.add_argument("--outside", default=None,
+                     help="outside place counts, comma-separated: two (q, r) for the "
+                          "global kinds, default 1,1; one (r) for noroot, default 1")
     gen.add_argument("--c-places", type=int, default=1)
     gen.add_argument("--sqrt-minus1", action="store_true")
     gen.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,14 @@ Three engines compute the same module table:
   elimination on its own.  When the algebra and module have a monomial
   basis the differential preserves the total exponent vector, so the
   complex splits by multidegree into many tiny blocks; otherwise each
-  internal degree is one block, the unsplit bar;
+  internal degree is one block, the unsplit bar.  Monomial blocks repeat:
+  every factor of a tuple in the mu-block divides mu, so the block is that
+  of the restriction of A and M to the support of mu (the restriction
+  behind Hochster's formula).  Its key, `_BlockKeys`, names that
+  restriction exactly, structure constants included, up to an order of
+  the support; within one call each key's block is built, checked and
+  ranked once, and later multidegrees with the key add its homology.  An
+  input whose monomials could not make the key exact builds every block;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
@@ -96,55 +103,25 @@ def koszul_scan(t: TorTable) -> KoszulVerdict:
 # ------------------------------------------------------------- bar complex
 
 
-def _compositions(total: int, parts: int, dims) -> list[tuple[int, ...]]:
-    """Compositions of `total` into `parts` positive parts with dims[part] > 0."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        if first >= len(dims) or dims[first] == 0:
-            continue
-        for rest in _compositions(total - first, parts - 1, dims):
-            out.append((first,) + rest)
-    return out
-
-
-class _BarTerms:
-    """The terms of the bar complex of a module M in one internal degree j:
-    the i-th is the sum of A_(c_1) (x) ... (x) A_(c_i) (x) M_md over compositions
-    c of j - md."""
-
-    def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j: int):
-        self.a, self.m, self.j = a, m, j
-
-    def components(self, i: int) -> list[tuple]:
-        """Direct summands of the i-th term: (algebra-degree composition,
-        module degree)."""
-        out = []
-        for md in range(1, self.j - i + 1):
-            if self.m.dims[md] == 0:
-                continue
-            for c in _compositions(self.j - md, i, self.a.dims):
-                out.append((c, md))
-        return out
-
-    def comp_dim(self, comp) -> int:
-        c, md = comp
-        d = self.m.dims[md]
-        for n in c:
-            d *= self.a.dims[n]
-        return d
-
-    def term_dim(self, i: int) -> int:
-        return sum(self.comp_dim(c) for c in self.components(i))
+def _bar_term_dims(a: DegreewiseAlgebra, m: ModuleTruncation, j: int) -> list[int]:
+    """The sizes of the terms i = 0, ..., j + 1 of the bar complex of M in
+    internal degree j: the i-th is A_+^(x i) (x) M_+, every factor of
+    positive degree."""
+    t = [m.dims[e] if e else 0 for e in range(j + 1)]
+    sizes = [t[j]]
+    for _ in range(j + 1):
+        t = [sum(a.dims[d] * t[e - d] for d in range(1, e + 1)) for e in range(j + 1)]
+        sizes.append(t[j])
+    return sizes
 
 
 class _SplitBasis:
     """The algebra and module in integers: the basis vectors of A_d and M_e,
     d, e <= j_max, are the global indices in alg[d] and mod[e], and
     prod[g1][g2] lists the terms (coef, g) of g1 * g2 != 0.  When A and M are
-    monomial, key[g] is g's exponent vector read in base n_max + 1, so keys
-    add under products; otherwise every key is 0."""
+    monomial, mono[g] is g's basis monomial and key[g] its exponent vector
+    read in base n_max + 1, so keys add under products; otherwise mono is
+    None and every key is 0."""
 
     def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j_max: int):
         self.p, self.alg, self.mod = a.fld.l, [], []
@@ -153,10 +130,12 @@ class _SplitBasis:
             for d in dims[:j_max + 1]:
                 ranges.append(range(size, size + d))
                 size += d
-        self.key = [sum(e * (a.n_max + 1) ** r for r, e in mo.exps)
-                    for bases in (a.basis_monomials, m.basis_monomials)
-                    for monos in bases[:j_max + 1] for mo in monos] \
-            if _monomial(a, m) else [0] * size
+        self.base = a.n_max + 1
+        self.mono = [mo for bases in (a.basis_monomials, m.basis_monomials)
+                     for monos in bases[:j_max + 1] for mo in monos] \
+            if _monomial(a, m) else None
+        self.key = [sum(e * self.base ** r for r, e in mo.exps) for mo in self.mono] \
+            if self.mono is not None else [0] * size
         self.prod: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(size)]
         for d in range(1, j_max + 1):
             for e in range(1, j_max + 1 - d):
@@ -178,14 +157,107 @@ class _SplitBasis:
             prod[g1].setdefault(g2, []).append((v, r))
 
 
-def _split_tuples(st: _SplitBasis, components) -> dict[int, list[tuple]]:
-    """Bar basis tuples (algebra indices, then a module index) of the given
-    components of a bar term, grouped by the sum of their keys."""
-    groups: dict[int, list[tuple]] = {}
-    for c, md in components:
-        for t in itertools.product(*(st.alg[d] for d in c), st.mod[md]):
-            groups.setdefault(sum(map(st.key.__getitem__, t)), []).append(t)
-    return groups
+class _BlockKeys:
+    """Complete invariants of the blocks of a monomial bar complex.
+
+    Every factor of a tuple in the mu-block divides mu, so the block is the
+    mu-block of the restriction of A and M to S = supp mu: the basis vectors
+    of positive degree whose monomials live on S, each named by (A or M, its
+    degree, its exponent vector on S), with every product term among them,
+    structure constants included.  An order of S that carries the
+    restriction to S onto the restriction to T, names and terms alike,
+    carries the tuples of the mu-block onto those of the relabelled mu and
+    every coefficient of d with them, so the two blocks have the same
+    homology.  The key of mu is therefore the id of its restriction, interned
+    once per support and order, and mu read on S in that order.  Supports of
+    at most three variables take the least id over all their orders, then
+    the least mu among the orders that reach it; larger ones keep the order
+    of the variables, where trying every order costs more than it saves."""
+
+    def __init__(self, st: _SplitBasis):
+        n = 1 + max((r for mo in st.mono for r, _ in mo.exps), default=-1)
+        self.base, self.powers = st.base, [st.base ** r for r in range(n)]
+        # (A or M, degree, exponent vector) and the support, as a bit mask
+        self.label: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        self.mask: dict[int, int] = {}
+        for kind, ranges in enumerate((st.alg, st.mod)):
+            for d, basis in enumerate(ranges[1:], 1):
+                for g in basis:
+                    exps = [0] * n
+                    for r, e in st.mono[g].exps:
+                        exps[r] = e
+                    self.label[g] = (kind, d, tuple(exps))
+                    self.mask[g] = sum(1 << r for r, _ in st.mono[g].exps)
+        # a product term lives on the support of its value
+        self.terms = [(self.mask[g], g1, g2, coef, g) for g1 in self.label
+                      for g2, products in st.prod[g1].items() for coef, g in products]
+        self.ids: dict[tuple, int] = {}
+        self.supports: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
+
+    def exact(self) -> bool:
+        """Do the keys tell blocks apart?  The names must tell the basis
+        vectors apart: two vectors with one name would make two different
+        restrictions look alike.  And no monomial may have a degree above its
+        vector's, so that every exponent of mu, at most j <= n_max, is one
+        digit and mu reads back exactly."""
+        return len(set(self.label.values())) == len(self.label) and \
+            all(sum(exps) <= d for _, d, exps in self.label.values())
+
+    def __call__(self, mu: int) -> tuple[int, tuple[int, ...]]:
+        exps = [mu // q % self.base for q in self.powers]
+        s = tuple(r for r, e in enumerate(exps) if e)
+        if s not in self.supports:
+            self.supports[s] = self._restriction(s)
+        sid, orders = self.supports[s]
+        return sid, min(tuple(exps[r] for r in o) for o in orders)
+
+    def _restriction(self, s: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+        """The least id of the restriction to s over the orders of s tried,
+        and the orders that reach it."""
+        off = ~sum(1 << r for r in s)
+        inside = [(g, lab) for g, lab in self.label.items() if not self.mask[g] & off]
+        terms = [t[1:] for t in self.terms if not t[0] & off]
+        found = []
+        for order in itertools.permutations(s) if len(s) <= 3 else [s]:
+            name = {g: (kind, d, tuple(exps[r] for r in order)) for g, (kind, d, exps) in inside}
+            restriction = (frozenset(name.values()),
+                           frozenset((name[g1], name[g2], coef, name[g])
+                                     for g1, g2, coef, g in terms))
+            found.append((self.ids.setdefault(restriction, len(self.ids)), order))
+        least = min(sid for sid, _ in found)
+        return least, [order for sid, order in found if sid == least]
+
+
+def _reachable(st: _SplitBasis, i_max: int, j_max: int) -> dict[tuple[int, int], set[int]]:
+    """The keys of the bar basis tuples of each tier i <= i_max + 1 and
+    degree j <= j_max, as sums of their factors' keys."""
+    akeys = [{st.key[g] for g in basis} for basis in st.alg]
+    reach = {(0, e): {st.key[g] for g in st.mod[e]} for e in range(1, j_max + 1)}
+    for i in range(1, i_max + 2):
+        for j in range(i + 1, j_max + 1):
+            reach[(i, j)] = {k + nu for d in range(1, j - i + 1) for k in akeys[d]
+                             for nu in reach[(i - 1, j - d)]}
+    return reach
+
+
+def _tuples(st: _SplitBasis, reach, memo: dict, i: int, j: int, mu: int) -> dict[int, list[tuple]]:
+    """The bar basis tuples (i algebra indices, then a module index) of
+    degree j and key mu, listed by the degree of their module factor: each a
+    in A_+ before the tuples of degree j - deg a and key mu - key a.  Each
+    list is in lexicographic order.  memo holds the lists already built."""
+    got = memo.get((i, j, mu))
+    if got is None:
+        if i == 0:
+            got = {j: [(g,) for g in st.mod[j] if st.key[g] == mu]}
+        else:
+            got = {}
+            for d in range(1, j - i + 1):
+                for g in st.alg[d]:
+                    if mu - st.key[g] in reach[(i - 1, j - d)]:
+                        for e, ts in _tuples(st, reach, memo, i - 1, j - d, mu - st.key[g]).items():
+                            got.setdefault(e, []).extend((g,) + t for t in ts)
+        memo[(i, j, mu)] = got
+    return got
 
 
 def _split_block_diff(st: _SplitBasis, src: list[tuple],
@@ -222,29 +294,48 @@ def _columns_product_nonzero(lo: list[dict[int, int]], hi: list[dict[int, int]],
     return False
 
 
+def _block_homology(st: _SplitBasis, tiers: list[list[tuple]], j: int) -> list[tuple[int, int]]:
+    """(i, dim H_i) for each nonzero homology of one block of degree j, given
+    its tuples tier by tier: d checked for d^2=0 and ranked."""
+    diffs = [_split_block_diff(st, tiers[i], tiers[i - 1]) for i in range(1, len(tiers))]
+    for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
+        if _columns_product_nonzero(lo, hi, st.p):
+            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
+    ranks = [0] + [gf.dict_rank(d, st.p) for d in diffs]
+    return [(i, h) for i in range(len(diffs))
+            if (h := len(tiers[i]) - ranks[i] - ranks[i + 1])]
+
+
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
     """The bar table block by block: d keeps a tuple's total key, so each
     key's blocks form a complex, checked and ranked on its own.  Keys are
     multidegrees when A and M are monomial; otherwise all are 0, and each
-    internal degree j is one block."""
+    internal degree j is one block.  A monomial block whose `_BlockKeys` key
+    was seen before in the call is not built: it adds the homology stored
+    under that key."""
     st = _SplitBasis(a, m, j_max)
+    keys = _BlockKeys(st) if st.mono is not None else None
+    if keys and not keys.exact():
+        keys = None
+    reach = _reachable(st, i_max, j_max)
+    memo: dict[tuple[int, int, int], dict[int, list[tuple]]] = {}
+    seen: dict[tuple, list[tuple[int, int]]] = {}
     dims: dict[tuple[int, int], int] = {}
     for j in range(1, j_max + 1):
         top = min(i_max + 1, j)
-        tiers = [_split_tuples(st, _BarTerms(a, m, j).components(i)) for i in range(top + 1)]
-        for mu in set().union(*tiers):
-            blocks = [t.get(mu, []) for t in tiers]
-            diffs = [_split_block_diff(st, blocks[i], blocks[i - 1])
-                     for i in range(1, top + 1)]
-            for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
-                if _columns_product_nonzero(lo, hi, st.p):
-                    raise AssertionError(
-                        f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
-            ranks = [0] + [gf.dict_rank(d, st.p) for d in diffs]
-            for i in range(top):
-                h = len(blocks[i]) - ranks[i] - ranks[i + 1]
-                if h:
-                    dims[(i, j)] = dims.get((i, j), 0) + h
+        for mu in set().union(*(reach.get((i, j), ()) for i in range(top + 1))):
+            key = (j, keys(mu)) if keys else None
+            homology = seen.get(key)
+            if homology is None:
+                tiers = [_tuples(st, reach, memo, i, j, mu) for i in range(top + 1)]
+                # module degree first: in lexicographic order alone the
+                # unsplit bar of a non-monomial input takes ~7% longer to rank
+                homology = _block_homology(
+                    st, [[t for e in sorted(ts) for t in ts[e]] for ts in tiers], j)
+                if key:
+                    seen[key] = homology
+            for i, h in homology:
+                dims[(i, j)] = dims.get((i, j), 0) + h
     return dims
 
 
@@ -442,8 +533,7 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
 
 def _dense_cost(a, m, i_max, j_max) -> int:
     """Basis vectors in the largest unsplit bar term of the window."""
-    return max(_BarTerms(a, m, j).term_dim(i)
-               for j in range(j_max + 1) for i in range(min(i_max, j) + 2))
+    return max(max(_bar_term_dims(a, m, j)[:min(i_max, j) + 2]) for j in range(j_max + 1))
 
 
 def _monomial(a: DegreewiseAlgebra, m: ModuleTruncation) -> bool:
@@ -472,8 +562,8 @@ def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
     internal degree, and every other entry in degree j_max is known.  The
     entry is defined by that identity, so the identity certifies nothing
     there; only the bar complex can audit it."""
-    bar = _BarTerms(a, m, j_max)
-    chi = sum((-1) ** i * bar.term_dim(i) for i in range(i_top + 1))
+    sizes = _bar_term_dims(a, m, j_max)
+    chi = sum((-1) ** i * sizes[i] for i in range(i_top + 1))
     known = sum((-1) ** i * dims.get((i, j_max), 0) for i in range(i_top))
     h = (-1) ** i_top * (chi - known)
     if h < 0:

@@ -376,17 +376,21 @@ class GlobalSymbolDatum:
         if self.lagrangian is not None:
             lag = np.asarray(self.lagrangian, dtype=np.int64) % p
             big = self.block_gram()
-            if gf.bilinear(lag, big, lag.T, p).any():
-                errors.append("declared Lagrangian is not isotropic")
-            span = RowSpan(big.shape[0], p)
-            for row in lag:
-                span.add(row)
-            for g in self.generators:
-                if not any(e % p for e in g.ord.values()):
-                    if not span.contains(self.full_image(g)):
-                        errors.append(
-                            f"generator {g.label} has trivial divisor but image "
-                            "outside the declared Lagrangian")
+            if lag.ndim != 2 or lag.shape[1] != big.shape[0]:
+                errors.append(f"declared Lagrangian rows must have {big.shape[0]} "
+                              f"entries, one per symbol coordinate; got shape {lag.shape}")
+            else:
+                if gf.bilinear(lag, big, lag.T, p).any():
+                    errors.append("declared Lagrangian is not isotropic")
+                span = RowSpan(big.shape[0], p)
+                for row in lag:
+                    span.add(row)
+                for g in self.generators:
+                    if not any(e % p for e in g.ord.values()):
+                        if not span.contains(self.full_image(g)):
+                            errors.append(
+                                f"generator {g.label} has trivial divisor but image "
+                                "outside the declared Lagrangian")
         if self.reciprocity:
             ok, bad = validate_reciprocity(self)
             if not ok:

@@ -349,6 +349,20 @@ def test_malformed_images_exit_2(capsys, monkeypatch, command, damage, message):
     assert message in err
 
 
+def test_short_lagrangian_exits_2(capsys, monkeypatch):
+    # rows one column short of the symbol coordinates: a datum message, not
+    # numpy's from the isotropy product
+    _, out, _ = run(capsys, "gen", "global-symplectic", "--l", "3")
+    obj = json.loads(out)
+    assert obj["lagrangian"]
+    obj["lagrangian"] = [row[:-1] for row in obj["lagrangian"]]
+    for command in ("tor", "check"):
+        code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                             monkeypatch=monkeypatch)
+        assert_one_error_line(code, out, err)
+        assert "declared Lagrangian rows must have" in err and "matmul" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["annihilator", "--c-places", "0"], "c on at least one place"),
     (["annihilator", "--outside=-1,0"], "non-negative"),
@@ -357,10 +371,22 @@ def test_malformed_images_exit_2(capsys, monkeypatch, command, damage, message):
     (["global-symplectic", "--l", "3", "--outside=1"], "expected 2 outside place counts"),
     (["global-general", "--outside=1"], "expected 2 outside place counts"),
     (["annihilator", "--outside=1,1,1"], "expected 2 outside place counts"),
+    (["noroot", "--l", "3", "--outside=2,7"], "expected 1 outside place count (r)"),
 ], ids=["annihilator-no-c", "annihilator-negative", "general-negative-ra",
-        "general-negative-rb", "symplectic-arity", "general-arity", "annihilator-arity"])
+        "general-negative-rb", "symplectic-arity", "general-arity", "annihilator-arity",
+        "noroot-arity"])
 def test_gen_rejects_bad_counts(capsys, argv, message):
     defaults = {"annihilator": ["--s-places", "3"]}.get(argv[0], [])
     code, out, err = run(capsys, "gen", *argv, *defaults)
     assert_one_error_line(code, out, err)
     assert message in err
+
+
+def test_noroot_takes_one_outside_count(capsys):
+    base = ["gen", "noroot", "--l", "3", "--s-places", "2"]
+    one = run(capsys, *base, "--outside", "2")
+    assert one[0] == EXIT_OK
+    assert run(capsys, *base)[1] == run(capsys, *base, "--outside", "1")[1]
+    code, out, err = run(capsys, *base, "--outside", "2,7")
+    assert_one_error_line(code, out, err)
+    assert "expected 1 outside place count (r)" in err

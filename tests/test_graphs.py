@@ -1,6 +1,8 @@
 """Graph criteria for exterior quotients with everything in degrees <= 2."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -183,3 +185,25 @@ def test_triangle_and_acyclicity_exhaustive_small():
             parent[find(a)] = find(b)
         comps = len({find(v) for v in range(4)})
         assert is_acyclic(t) == (len(edges) == 4 - comps)
+
+
+# sha256 of the canonical JSON below, recorded before the split bar reused
+# blocks across multidegrees
+GRAPH_TABLES_SHA256 = "a7944ff17c26a955ffc4c0b093c01113659b8513f1641f075e23dc935009f4c5"
+
+
+def test_graph_tables_pinned():
+    """Both Tor tables at bound 5 of all 64 graphs on 4 vertices and of
+    every 32nd graph on 5 vertices, from the 31st, hashed as canonical
+    JSON."""
+    fld = PrimeField(2)
+    tables = []
+    for n, graphs in ((4, list(all_graphs(4))), (5, list(all_graphs(5))[31::32])):
+        lam = free_algebra(fld, SymmetryMode.SUPERCOMMUTATIVE, gen_order(n), 5)
+        for t in graphs:
+            a = graph_algebra(t, fld, n_max=5)
+            tables.append([tor_algebra(a, 5, 5).to_json(),
+                           tor_module(lam, augmentation_module(a, lam), 5, 5).to_json()])
+    assert len(tables) == 96
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_TABLES_SHA256

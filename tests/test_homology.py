@@ -3,22 +3,25 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulity.algebra import (ModuleTruncation, SymmetryMode,
                                augmentation_module, degreewise_expand,
-                               free_algebra, ideal_module)
+                               free_algebra, ideal_module, normal_monomials)
 from koszulity import gf, homology
 from koszulity.gf import PrimeField
-from koszulity.graded import associated_graded, monomial_algebra, pbw_verdict
-from koszulity.graphs import all_graphs, cycle_graph, graph_algebra
+from koszulity.graded import (MonomialTruncation, associated_graded,
+                              monomial_algebra, pbw_verdict)
+from koszulity.graphs import QuadGraph, all_graphs, cycle_graph, graph_algebra
 from koszulity.homology import (TorKind, TorTable, bar_tor_algebra,
                                 bar_tor_module, is_free_exterior, koszul_scan,
                                 koszul_tor_module, resolution_tor_algebra,
                                 resolution_tor_module, tor_algebra, tor_module)
-from koszulity.monomials import GeneratorOrder
+from koszulity.monomials import GeneratorOrder, Monomial, divisors_degree
 
 from conftest import (exterior_algebra, gen_order, polynomial_algebra,
                       presentation_from_strings, random_presentation)
@@ -308,6 +311,62 @@ class TestSplitBar:
                         assert tor_module(a, m, i_max, j_max, engine="bar").dims == \
                             _dense_bar_table(a, m, i_max, j_max), (l, mode, i_max)
 
+    def test_structure_constants_in_block_key(self):
+        # two triangles, on x0 x1 x2 and on x2 x3 x4, at l = 5; then x0 * x1
+        # alone is rescaled by 2 (generator 0's matrix A_1 -> A_2 times a
+        # diagonal matrix), so x1 * x0 = -x0 * x1 / 2 on the first triangle
+        # and -x2 * x3 on the second.  The triangles keep one support
+        # pattern, but over the exterior cover the ratio changes the
+        # homology of the x0 x1 x2 blocks: a block key without the structure
+        # constants would give both triangles one homology.
+        l, fld = 5, PrimeField(5)
+        t = QuadGraph.build([f"x{i}" for i in range(5)],
+                            [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        tables = []
+        for scale in (1, 2):
+            a = graph_algebra(t, fld, n_max=4)
+            row = [mo.ranks() for mo in a.basis_monomials[2]].index((0, 1))
+            rescale = np.eye(a.dims[2], dtype=np.int64)
+            rescale[row, row] = scale
+            a.gen_action[1][0] = (rescale @ a.gen_action[1][0]) % l
+            lam = free_algebra(fld, SymmetryMode.SUPERCOMMUTATIVE, a.order, 4)
+            self._same(a, augmentation_module(a, a), 3, 4)
+            m = augmentation_module(a, lam)
+            self._same(lam, m, 3, 4)
+            tables.append(_dense_bar_table(lam, m, 3, 4))
+        assert tables[0] != tables[1]
+
+    def test_repeated_monomials_turn_reuse_off(self):
+        # a module over the exterior algebra on x0..x3 with two basis vectors
+        # for each of x0, x0x1, x2, x2x3: x1 maps the two on x0 onto the two
+        # on x0x1, x3 maps both on x2 onto the first on x2x3.  The blocks at
+        # x0x1 and x2x3 differ, but names alone cannot tell them apart, so
+        # the table must come without reuse
+        lam = exterior_algebra(4, l=3, n_max=2)
+        x = [Monomial.from_dict(e) for e in ({0: 1}, {2: 1}, {0: 1, 1: 1}, {2: 1, 3: 1})]
+        action = [np.zeros((4, 4), dtype=np.int64) for _ in range(4)]
+        action[1][0, 0] = action[1][1, 1] = 1
+        action[3][2, 2] = action[3][2, 3] = 1
+        m = ModuleTruncation(lam, [0, 4, 4], [None, action],
+                             basis_monomials=[[], [x[0], x[0], x[1], x[1]],
+                                              [x[2], x[2], x[3], x[3]]], monomial=True)
+        assert not homology._BlockKeys(homology._SplitBasis(lam, m, 2)).exact()
+        self._same(lam, m, 1, 2)
+
+    def test_monomials_above_their_degree_turn_reuse_off(self):
+        # M_1 on 1 and x1^3, M_2 on x0, with x0 * 1 = x0 the only nonzero
+        # product, over the exterior algebra on x0, x1 (keys in base 3).
+        # The tuples (x0, 1) and (x0, x1^3) have the keys 1 and 10, whose
+        # low digits agree: read as multidegrees, both blocks would be the
+        # x0-block, though the first is exact and the second is not
+        lam = exterior_algebra(2, l=3, n_max=2)
+        action = [np.array([[1, 0]], dtype=np.int64), np.zeros((1, 2), dtype=np.int64)]
+        m = ModuleTruncation(lam, [0, 2, 1], [None, action],
+                             basis_monomials=[[], [Monomial.unit(), Monomial.from_dict({1: 3})],
+                                              [Monomial.generator(0)]], monomial=True)
+        assert not homology._BlockKeys(homology._SplitBasis(lam, m, 2)).exact()
+        self._same(lam, m, 1, 2)
+
     def test_non_monomial_product_rejected(self):
         # y*y = x^2 + x*y: the algebra is flagged monomial, but is not
         a = degreewise_expand(presentation_from_strings(
@@ -318,6 +377,72 @@ class TestSplitBar:
             homology._bar_split_table(a, augmentation_module(a, a), 2, 2)
         with pytest.raises(ValueError, match="product is not monomial"):
             tor_algebra(a, 3, 3, engine="bar")
+
+
+def test_bar_term_dims_count_the_summands():
+    # the term sizes by recursion on the degree, against the sum over
+    # compositions of the products of the factors' dimensions
+    rng = random.Random(5)
+    for _ in range(200):
+        n_max = rng.randint(0, 5)
+        a = SimpleNamespace(dims=[1] + [rng.choice((0, 1, 2, 3)) for _ in range(n_max)])
+        m = SimpleNamespace(dims=[rng.choice((0, 1))] + [rng.choice((0, 1, 4)) for _ in range(n_max)])
+        for j in range(n_max + 1):
+            want = [sum(math.prod(a.dims[n] for n in c) * m.dims[j - sum(c)]
+                        for c in itertools.product(range(1, j + 1), repeat=i) if sum(c) < j)
+                    if i < j else 0 for i in range(j + 2)]
+            assert homology._bar_term_dims(a, m, j) == want, (a.dims, m.dims, j)
+
+
+@st.composite
+def monomial_algebras(draw):
+    """A random monomial algebra: n <= 4 generators, n_max <= 4, survivors
+    drawn degree by degree among the monomials whose divisors all survive,
+    so a graph with loops (in the commutative mode) in degree 2 and random
+    survivor sets above.  Every basis vector is then rescaled by a random
+    unit, the generators with them: an isomorphic algebra whose structure
+    constants are not all 1 or -1."""
+    l = draw(st.sampled_from((2, 3, 5, 7)))
+    mode = draw(st.sampled_from(list(SymmetryMode)))
+    n, n_max = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    order = gen_order(n)
+    surv = [[Monomial.unit()], [Monomial.generator(g) for g in range(n)]]
+    for d in range(2, n_max + 1):
+        below = set(surv[-1])
+        candidates = [mo for mo in normal_monomials(order, d, mode)
+                      if all(div in below for div in divisors_degree(mo, d - 1))]
+        keep = draw(st.lists(st.booleans(), min_size=len(candidates),
+                             max_size=len(candidates)))
+        surv.append(sorted((mo for mo, k in zip(candidates, keep) if k),
+                           key=Monomial.sort_key))
+    a = monomial_algebra(MonomialTruncation(order, mode, n_max, surv), PrimeField(l))
+    # the new basis vector k of A_d is scale[d][k] times the old one, so
+    # generator g acts by scale[1][g] * D_(d+1)^-1 @ G @ D_d
+    scale = [[1]] + [draw(st.lists(st.integers(1, l - 1), min_size=dim, max_size=dim))
+                     for dim in a.dims[1:]]
+    for d, mats in enumerate(a.gen_action):
+        inverse = np.array([pow(c, -1, l) for c in scale[d + 1]], dtype=np.int64)
+        for g, mat in enumerate(mats):
+            mats[g] = scale[1][g] * inverse.reshape(-1, 1) * mat * np.array(scale[d]) % l
+    return a
+
+
+class TestSplitBarAudit:
+    """Property-based audit of the split bar, with its reuse of blocks,
+    against the dense reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_algebras(), st.data())
+    def test_monomial_algebras(self, a, data):
+        j_max = data.draw(st.integers(1, a.n_max))
+        i_max = data.draw(st.integers(0, j_max))
+        pairs = [(a, augmentation_module(a, a))]
+        if a.mode is SymmetryMode.SUPERCOMMUTATIVE:
+            lam = free_algebra(a.fld, a.mode, a.order, a.n_max)
+            pairs.append((lam, augmentation_module(a, lam)))
+        for b, m in pairs:
+            assert homology._bar_split_table(b, m, i_max, j_max) == \
+                _dense_bar_table(b, m, i_max, j_max)
 
 
 class TestInvariants:
