@@ -3,8 +3,8 @@
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
 kernels, solving and inverses all read its result.  There is one sparse
-elimination, `dict_rank`, on columns kept as {row: value} dicts of Python
-ints; `sparse_rank` runs it on the columns of a `SparseMatrixGF`.  The
+elimination, `dict_pivots`, on {index: value} dicts of Python ints: its
+greatest-index pivots give `sparse_rank` and the resolution's generators.  The
 model generators draw a random element of a row space with
 `random_combination`.
 
@@ -113,7 +113,8 @@ def bilinear(u: np.ndarray, gram: np.ndarray, v: np.ndarray, p: int) -> np.ndarr
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Right kernel of a: rows of the result v satisfy a @ v = 0 mod p."""
+    """Right kernel of a: rows of the result v satisfy a @ v = 0 mod p.  Row k
+    ends at the k-th free column with a 1, where the other rows are 0."""
     a = np.asarray(a, dtype=np.int64)
     m, n = a.shape
     if n == 0:
@@ -243,12 +244,14 @@ class SparseMatrixGF:
         return cols
 
 
-def dict_rank(vectors: list[dict[int, int]], p: int) -> int:
-    """Rank mod p of {index: value} vectors with no zeros stored.
+def dict_pivots(vectors, p: int) -> set[int]:
+    """The greatest-index pivots mod p of an iterable of {index: value}
+    vectors with no zeros stored: the last indices of an echelon basis of
+    their span, where every nonzero vector of the span ends.
 
     Each vector is reduced against the pivots so far, keyed by their
     greatest index, until it is zero or becomes a new pivot.  The vectors
-    are not changed.
+    are not changed, and may be streamed: only the pivots are held.
 
     The key decides the fill-in, the entries that reductions add.  The
     least row of a Koszul-complex column is shared by more columns than its
@@ -273,9 +276,9 @@ def dict_rank(vectors: list[dict[int, int]], p: int) -> int:
                     v[k] = w
                 else:
                     del v[k]
-    return len(pivots)
+    return set(pivots)
 
 
 def sparse_rank(m: SparseMatrixGF) -> int:
-    """Rank of m over F_l, by `dict_rank` on its columns."""
-    return dict_rank(m.columns(), m.field.l)
+    """Rank of m over F_l: the number of `dict_pivots` of its columns."""
+    return len(dict_pivots(m.columns(), m.field.l))

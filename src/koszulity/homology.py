@@ -24,7 +24,8 @@ Three engines compute the same module table:
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
-  generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1});
+  generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1}:
+  the kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1});
 * the Koszul complex M (x) Gamma, for modules over a free exterior algebra.
 
 `tor_module`'s `auto` rule, the only one, picks the bar complex when A and M
@@ -233,7 +234,7 @@ def _reachable(st: _SplitBasis, i_max: int, j_max: int) -> dict[tuple[int, int],
     degree j <= j_max, as sums of their factors' keys."""
     akeys = [{st.key[g] for g in basis} for basis in st.alg]
     reach = {(0, e): {st.key[g] for g in st.mod[e]} for e in range(1, j_max + 1)}
-    for i in range(1, i_max + 2):
+    for i in range(1, min(i_max, j_max) + 2):
         for j in range(i + 1, j_max + 1):
             reach[(i, j)] = {k + nu for d in range(1, j - i + 1) for k in akeys[d]
                              for nu in reach[(i - 1, j - d)]}
@@ -301,7 +302,7 @@ def _block_homology(st: _SplitBasis, tiers: list[list[tuple]], j: int) -> list[t
     for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
         if _columns_product_nonzero(lo, hi, st.p):
             raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
-    ranks = [0] + [gf.dict_rank(d, st.p) for d in diffs]
+    ranks = [0] + [len(gf.dict_pivots(d, st.p)) for d in diffs]
     return [(i, h) for i in range(len(diffs))
             if (h := len(tiers[i]) - ranks[i] - ranks[i + 1])]
 
@@ -343,30 +344,29 @@ def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
 
 
 class _Layout:
-    """Degree-j coordinates of A tensor V, for V a graded space given as
-    (internal degree e, dimension) blocks."""
+    """Degree-j coordinates of B (x) V, for V a graded space given as
+    (internal degree e, dimension) blocks and B = A, or B = M with V = k:
+    dims are B's, and product is `mult_matrix` or `action_matrix`."""
 
-    def __init__(self, a: DegreewiseAlgebra, vblocks: list[tuple[int, int]]):
-        self.a = a
-        self.vblocks = vblocks
+    def __init__(self, dims: list[int], product, vblocks: list[tuple[int, int]], p: int):
+        self.dims, self.product, self.vblocks, self.p = dims, product, vblocks, p
 
     def blocks(self, j: int) -> list[tuple[int, int, int]]:
-        """(e, vdim, offset) for each summand A_(j-e) (x) V_e."""
+        """(e, vdim, offset) for each summand B_(j-e) (x) V_e."""
         out, off = [], 0
         for e, vd in self.vblocks:
             d = j - e
-            if 0 <= d <= self.a.n_max and self.a.dims[d] and vd:
+            if 0 <= d < len(self.dims) and self.dims[d] and vd:
                 out.append((e, vd, off))
-                off += self.a.dims[d] * vd
+                off += self.dims[d] * vd
         return out
 
     def dim(self, j: int) -> int:
-        return sum(self.a.dims[j - e] * vd for e, vd, _ in self.blocks(j))
+        return sum(self.dims[j - e] * vd for e, vd, _ in self.blocks(j))
 
     def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
         """(basis vector u of A_d) * each column of vecs, degree j to j+d."""
-        a = self.a
-        p = a.fld.l
+        dims, p = self.dims, self.p
         if d == 0:
             return vecs % p
         k = vecs.shape[1]
@@ -376,55 +376,41 @@ class _Layout:
             dp = j - e
             if e not in tgt:
                 continue
-            # rows of a block are (A_dp basis, V_e basis) pairs
-            sub = vecs[off:off + a.dims[dp] * vd].reshape(a.dims[dp], vd * k)
-            mult = a.mult_matrix(d, dp)[:, u * a.dims[dp]:(u + 1) * a.dims[dp]]
+            # rows of a block are (B_dp basis, V_e basis) pairs
+            sub = vecs[off:off + dims[dp] * vd].reshape(dims[dp], vd * k)
+            mult = self.product(d, dp)[:, u * dims[dp]:(u + 1) * dims[dp]]
             res = ((mult @ sub) % p).reshape(-1, k)
             out[tgt[e]:tgt[e] + res.shape[0]] = res
         return out
-
-
-class _ModuleLayout:
-    """M itself, with the interface of _Layout: stage 0 of a resolution of M,
-    whose "kernel" is all of M."""
-
-    def __init__(self, m: ModuleTruncation):
-        self.m = m
-
-    def dim(self, j: int) -> int:
-        return self.m.dims[j]
-
-    def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
-        p = self.m.algebra.fld.l
-        if d == 0:
-            return vecs % p
-        n = self.m.dims[j]
-        return (self.m.action_matrix(d, j)[:, u * n:(u + 1) * n] @ vecs) % p
 
 
 def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
                       i_max: int, j_max: int) -> dict[tuple[int, int], int]:
     """dim V_i in each degree j <= j_max for i <= i_max, V_i the minimal
     generators K_i / A_1 K_i of the i-th kernel K_i in F_(i-1) = A (x) V_(i-1),
-    with K_0 = M, by the graded Nakayama rule (A_+ K)_j = A_1 K_(j-1)."""
+    with K_0 = M, by the graded Nakayama rule (A_+ K)_j = A_1 K_(j-1).
+
+    The basis rows of K_j end at distinct columns (K_0 is the identity, later
+    bases come from `gf.nullspace`), so every vector of A_1 K_(j-1) ends at
+    one of them, and the rows ending outside its greatest-index pivots lift
+    a basis of K_j / A_1 K_(j-1): they are taken as V_(i,j)."""
     p = a.fld.l
     dims: dict[tuple[int, int], int] = {}
-    layout = _ModuleLayout(m)
+    layout = _Layout(m.dims, m.action_matrix, [(0, 1)], p)
     kernels = {j: np.eye(m.dims[j], dtype=np.int64)
                for j in range(1, j_max + 1) if m.dims[j]}
     for i in range(i_max + 1):
         vblocks, reps = [], {}
         for j in sorted(kernels):
-            # an echelon basis of A_1 K_(j-1), one generator at a time so
-            # that no matrix holds all of A_1 K_(j-1) at once
-            span = np.zeros((0, kernels[j].shape[1]), dtype=np.int64)
-            for g in range(a.num_generators if j - 1 in kernels else 0):
-                block = layout.act(1, g, j - 1, kernels[j - 1].T).T
-                span = gf.rref(np.vstack([span, block]), p)[0]
-            # the pivot columns of [span; K_j]^T past span are the rows of K_j
-            # that leave the span of everything before them
-            _, pivots = gf.rref(np.vstack([span, kernels[j]]).T, p)
-            rep = kernels[j][[c - len(span) for c in pivots if c >= len(span)]]
+            # A_1 K_(j-1) as {index: value} columns, one generator's block at
+            # a time, so that no matrix holds all of it at once
+            span = (dict(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
+                    for g in range(a.num_generators if j - 1 in kernels else 0)
+                    for col in layout.act(1, g, j - 1, kernels[j - 1].T).T)
+            taken = gf.dict_pivots(span, p)
+            ker = kernels[j]
+            last = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
+            rep = ker[[c not in taken for c in last.tolist()]]
             if len(rep):
                 vblocks.append((j, len(rep)))
                 reps[j] = rep
@@ -432,7 +418,7 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
         if i == i_max or not vblocks:
             break
         # K_(i+1) = kernel of F_i = A (x) V_i -> F_(i-1), degree by degree
-        new_layout = _Layout(a, vblocks)
+        new_layout = _Layout(a.dims, a.mult_matrix, vblocks, p)
         kernels = {}
         for j in range(1, j_max + 1):
             cols = new_layout.dim(j)

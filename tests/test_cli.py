@@ -98,6 +98,17 @@ class TestCheck:
         assert "agreement: AGREE" in out
         assert "verdict: koszul" in out
 
+    def test_huge_max_i_is_bounded_by_max_j(self, capsys, monkeypatch):
+        # bar terms with i > j vanish: the work is bounded by --max-j
+        _, gen_out, _ = run(capsys, "gen", "local", "--case", "symplectic",
+                            "--dim", "2", "--l", "3")
+        start = time.monotonic()
+        code, out, _ = run(capsys, "check", "-", "--max-i", str(10 ** 12), "--max-j", "4",
+                           stdin=gen_out, monkeypatch=monkeypatch)
+        assert time.monotonic() - start < 5
+        assert code == EXIT_OK
+        assert "verdict: koszul" in out
+
     def test_triangle_non_koszul(self, capsys, tmp_path):
         path = write_json(tmp_path, "t.json", triangle_datum())
         code, out, _ = run(capsys, "check", path, "--max-i", "3", "--max-j", "3")

@@ -155,6 +155,15 @@ def reference_product(a, b, p):
     return (a.astype(object) @ b.astype(object)) % p
 
 
+def _low_rank(seed, p, rows, cols, inner, zeros):
+    """A random rows x cols product of rank at most inner, with a share of
+    its entries zeroed."""
+    rng = np.random.default_rng(seed)
+    a = reference_product(rng.integers(0, p, size=(rows, inner)),
+                          rng.integers(0, p, size=(inner, cols)), p)
+    return a.astype(np.int64) * (rng.random((rows, cols)) >= zeros)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 30), st.sampled_from(KERNEL_PRIMES),
        st.integers(1, 40), st.integers(1, 40), st.integers(0, 40),
@@ -162,10 +171,7 @@ def reference_product(a, b, p):
 def test_rank_matches_rref(seed, p, rows, cols, inner, zeros):
     # a low-rank product with a share of entries zeroed, so that
     # elimination meets rank deficiency, zero columns and row swaps
-    rng = np.random.default_rng(seed)
-    a = reference_product(rng.integers(0, p, size=(rows, inner)),
-                          rng.integers(0, p, size=(inner, cols)), p)
-    a = a.astype(np.int64) * (rng.random((rows, cols)) >= zeros)
+    a = _low_rank(seed, p, rows, cols, inner, zeros)
     assert gf.rank(a, p) == len(gf.rref(a, p)[1])
 
 
@@ -181,15 +187,41 @@ def test_dict_rank_matches_dense(seed, p, rows, cols, inner, zeros):
     # a low-rank product with a share of entries zeroed, from dense to
     # sparse fills; rank A = rank A^T, so its columns and its rows both
     # give the rank of dense elimination
-    rng = np.random.default_rng(seed)
-    a = reference_product(rng.integers(0, p, size=(rows, inner)),
-                          rng.integers(0, p, size=(inner, cols)), p)
-    a = a.astype(np.int64) * (rng.random((rows, cols)) >= zeros)
+    a = _low_rank(seed, p, rows, cols, inner, zeros)
     expect = gf.rank(a, p)
     for vectors in (_dicts(a.T), _dicts(a)):
         kept = [dict(v) for v in vectors]
-        assert gf.dict_rank(vectors, p) == expect
+        assert len(gf.dict_pivots(vectors, p)) == expect
         assert vectors == kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 30), st.sampled_from(KERNEL_PRIMES),
+       st.integers(0, 30), st.integers(1, 30), st.integers(0, 30),
+       st.floats(0.0, 0.95))
+def test_dict_pivots_are_last_columns_of_reduced_basis(seed, p, rows, cols, inner, zeros):
+    # the pivots of rref on reversed columns are the columns at which the
+    # rows of a reduced basis of the row space end
+    a = _low_rank(seed, p, rows, cols, inner, zeros)
+    expect = {cols - 1 - c for c in gf.rref(a[:, ::-1], p)[1]}
+    assert gf.dict_pivots(iter(_dicts(a)), p) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 30), st.sampled_from(KERNEL_PRIMES),
+       st.integers(0, 30), st.integers(0, 30), st.integers(0, 30),
+       st.floats(0.0, 0.95))
+def test_nullspace_rows_end_at_distinct_columns(seed, p, rows, cols, inner, zeros):
+    # each kernel row is 1 at its own last nonzero column, and every other
+    # row is 0 there: the resolution's choice of generators rests on this
+    a = _low_rank(seed, p, rows, cols, inner, zeros)
+    ker = gf.nullspace(a, p)
+    assert ker.shape == (cols - gf.rank(a, p), cols)
+    assert all(ker.any(axis=1))
+    last = [int(np.flatnonzero(row)[-1]) for row in ker]
+    assert len(set(last)) == len(last)
+    assert np.array_equal(ker[:, last], np.eye(len(last), dtype=np.int64))
+    assert not reference_product(a, ker.T, p).any()
 
 
 def test_rank_of_empty_shapes():

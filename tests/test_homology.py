@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from koszulity.algebra import (ModuleTruncation, SymmetryMode,
-                               augmentation_module, degreewise_expand,
-                               free_algebra, ideal_module, normal_monomials)
+from koszulity.algebra import (ModuleTruncation, QuadraticPresentation,
+                               SymmetryMode, augmentation_module,
+                               degreewise_expand, free_algebra, ideal_module,
+                               normal_monomials)
 from koszulity import gf, homology
 from koszulity.gf import PrimeField
 from koszulity.graded import (MonomialTruncation, associated_graded,
@@ -93,6 +94,16 @@ class TestBarAlgebra:
         for engine in homology.ENGINES:
             for j in range(5):
                 assert tor_algebra(a, 0, j, engine).dims == {(0, 0): 1}
+
+    def test_huge_i_max_is_bounded_by_j_max(self):
+        # bar terms with i > j vanish, so no engine's work grows with i_max
+        a = degreewise_expand(random_presentation(
+            random.Random(3), 3, SymmetryMode.SUPERCOMMUTATIVE, 3, 1), 4)
+        lam = exterior_algebra(3, l=3, n_max=4)
+        for b, engines in ((a, ("auto", "bar", "resolution")), (lam, homology.ENGINES)):
+            for engine in engines:
+                assert tor_algebra(b, 10 ** 12, 4, engine).dims == \
+                    tor_algebra(b, 4, 4, engine).dims, engine
 
     def test_narrow_window_is_restriction(self):
         rng = random.Random(113)
@@ -395,16 +406,21 @@ def test_bar_term_dims_count_the_summands():
 
 
 @st.composite
-def monomial_algebras(draw):
-    """A random monomial algebra: n <= 4 generators, n_max <= 4, survivors
-    drawn degree by degree among the monomials whose divisors all survive,
-    so a graph with loops (in the commutative mode) in degree 2 and random
-    survivor sets above.  Every basis vector is then rescaled by a random
-    unit, the generators with them: an isomorphic algebra whose structure
-    constants are not all 1 or -1."""
-    l = draw(st.sampled_from((2, 3, 5, 7)))
-    mode = draw(st.sampled_from(list(SymmetryMode)))
-    n, n_max = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+def monomial_algebras(draw, primes=(2, 3, 5, 7), modes=tuple(SymmetryMode),
+                      gens=(1, 4), tops=(2, 4)):
+    """A random monomial algebra: l in primes, a mode in modes, n generators
+    and n_max in the ranges gens and tops, survivors drawn degree by degree
+    among the monomials whose divisors all survive, so a graph with loops
+    (in the commutative mode) in degree 2 and random survivor sets above.
+    Every basis vector is then rescaled by a random unit, the generators
+    with them: an isomorphic algebra whose structure constants are not all
+    1 or -1.  Last, one product term of one generator's matrix is
+    multiplied by a random unit u != 1 (for l > 2).  That may change the
+    homology, or break associativity: the audit keeps only the draws whose
+    bar complexes still have d^2 = 0."""
+    l = draw(st.sampled_from(primes))
+    mode = draw(st.sampled_from(modes))
+    n, n_max = draw(st.integers(*gens)), draw(st.integers(*tops))
     order = gen_order(n)
     surv = [[Monomial.unit()], [Monomial.generator(g) for g in range(n)]]
     for d in range(2, n_max + 1):
@@ -424,6 +440,11 @@ def monomial_algebras(draw):
         inverse = np.array([pow(c, -1, l) for c in scale[d + 1]], dtype=np.int64)
         for g, mat in enumerate(mats):
             mats[g] = scale[1][g] * inverse.reshape(-1, 1) * mat * np.array(scale[d]) % l
+    terms = [(d, g, r, c) for d, mats in enumerate(a.gen_action) for g, mat in enumerate(mats)
+             for r, c in zip(*np.nonzero(mat))]
+    if l > 2 and terms:
+        d, g, r, c = draw(st.sampled_from(terms))
+        a.gen_action[d][g][r, c] = a.gen_action[d][g][r, c] * draw(st.integers(2, l - 1)) % l
     return a
 
 
@@ -431,18 +452,70 @@ class TestSplitBarAudit:
     """Property-based audit of the split bar, with its reuse of blocks,
     against the dense reference."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(monomial_algebras(), st.data())
-    def test_monomial_algebras(self, a, data):
-        j_max = data.draw(st.integers(1, a.n_max))
-        i_max = data.draw(st.integers(0, j_max))
+    @staticmethod
+    def _audit(a, i_max, j_max):
         pairs = [(a, augmentation_module(a, a))]
         if a.mode is SymmetryMode.SUPERCOMMUTATIVE:
             lam = free_algebra(a.fld, a.mode, a.order, a.n_max)
             pairs.append((lam, augmentation_module(a, lam)))
         for b, m in pairs:
-            assert homology._bar_split_table(b, m, i_max, j_max) == \
-                _dense_bar_table(b, m, i_max, j_max)
+            try:
+                want = _dense_bar_table(b, m, i_max, j_max)
+            except AssertionError:  # the dense reference's d^2 = 0 check
+                assume(False)
+            assert homology._bar_split_table(b, m, i_max, j_max) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_algebras(), st.data())
+    def test_monomial_algebras(self, a, data):
+        j_max = data.draw(st.integers(1, a.n_max))
+        self._audit(a, data.draw(st.integers(0, j_max)), j_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(monomial_algebras((3, 5, 7), (SymmetryMode.SUPERCOMMUTATIVE,), (5, 5), (3, 3)))
+    def test_structure_constants(self, a):
+        # on five generators A_2 often has two triangles alike but for the
+        # perturbed term; over the exterior cover the blocks at their
+        # products then differ in homology, as in
+        # `test_structure_constants_in_block_key`.  With the structure
+        # constants left out of the block key, this fails within its draws
+        self._audit(a, 3, 3)
+
+
+@st.composite
+def presented_modules(draw):
+    """A random quadratic presentation, n <= 5 generators with uniformly
+    random relations; c, a random nonzero element of A_1 for the module
+    M = (c), or None for M = A_+; and a window i_max >= j_max - 1, so that
+    the resolution fills the entry (j_max - 1, j_max) from the Euler
+    characteristic."""
+    l = draw(st.sampled_from((2, 3, 5, 7)))
+    mode = draw(st.sampled_from(list(SymmetryMode)))
+    n = draw(st.integers(1, 5))
+    j_max = draw(st.integers(2, 5 if n <= 3 else 4))
+    order = gen_order(n)
+    nq = len(normal_monomials(order, 2, mode))
+    relations = draw(st.lists(st.lists(st.integers(0, l - 1), min_size=nq, max_size=nq),
+                              max_size=nq))
+    pres = QuadraticPresentation(PrimeField(l), mode, order,
+                                 np.array(relations, dtype=np.int64))
+    c = draw(st.none() | st.lists(st.integers(0, l - 1), min_size=n, max_size=n)
+             .filter(any).map(np.array))
+    return pres, c, draw(st.integers(j_max - 1, j_max + 1)), j_max
+
+
+class TestResolutionAudit:
+    """Property-based audit of the minimal resolution, its Euler-filled
+    entry included, against the bar complex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(presented_modules())
+    def test_presented_modules(self, case):
+        pres, c, i_max, j_max = case
+        a = degreewise_expand(pres, j_max)
+        m = augmentation_module(a, a) if c is None else ideal_module(a, c)
+        assert resolution_tor_module(a, m, i_max, j_max).dims == \
+            bar_tor_module(a, m, i_max, j_max).dims
 
 
 class TestInvariants:
