@@ -399,41 +399,32 @@ def augmentation_module(a: DegreewiseAlgebra, b: DegreewiseAlgebra) -> ModuleTru
 
 
 def ideal_module(a: DegreewiseAlgebra, c: np.ndarray) -> ModuleTruncation:
-    """The principal ideal c*A as a graded module over a, with M_1 = span(c)."""
+    """The principal ideal c*A as a graded module over a, with M_1 = span(c).
+
+    M_n = c*A_(n-1) is the column space of sum_g c_g gen_action[n-1][g], kept
+    as the rows of its reduced echelon form.
+    """
     p = a.fld.l
     c = np.asarray(c, dtype=np.int64) % p
     if not c.any():
         raise ValueError("c must be a nonzero degree-1 element")
-
-    def times_c(vec: np.ndarray, n: int) -> np.ndarray:
-        out = np.zeros(a.dims[n + 1], dtype=np.int64)
-        for g in range(a.num_generators):
-            if c[g]:
-                out = (out + int(c[g]) * a.apply_generator(g, n, vec)) % p
-        return out
-
     bases: list[np.ndarray] = [np.zeros((0, 1), dtype=np.int64)]
-    bases.append(c.reshape(1, -1))
-    spans: dict[int, RowSpan] = {}
-    for n in range(2, a.n_max + 1):
-        span = spans[n] = RowSpan(a.dims[n], p)
-        eye = np.eye(a.dims[n - 1], dtype=np.int64)
-        for i in range(a.dims[n - 1]):
-            span.add(times_c(eye[i], n - 1))
-        bases.append(span.matrix())
+    pivots: list[list[int]] = [[]]
+    for n in range(1, a.n_max + 1):
+        times_c = sum(int(c[g]) * a.gen_action[n - 1][g] for g in np.flatnonzero(c)) % p
+        basis, piv = gf.rref(times_c.T, p)
+        bases.append(basis)
+        pivots.append(piv)
     dims = [0] + [b.shape[0] for b in bases[1:]]
     action: list[list[np.ndarray] | None] = [None]
     for n in range(1, a.n_max):
         # bases[n + 1] is in reduced echelon form: coordinates of a vector
         # of its span sit at the pivot columns
-        span = spans[n + 1]
-        mats = []
-        for g in range(a.num_generators):
-            img = (a.gen_action[n][g] @ bases[n].T) % p
-            if not all(span.contains(v) for v in img.T):
-                raise ValueError("ideal not closed under the generator action")
-            mats.append(img[span.pivot_of_row])
-        action.append(mats)
+        imgs = np.concatenate([(mat @ bases[n].T) % p for mat in a.gen_action[n]], axis=1)
+        coords = imgs[pivots[n + 1]]
+        if ((bases[n + 1].T @ coords - imgs) % p).any():
+            raise ValueError("ideal not closed under the generator action")
+        action.append(np.split(coords, a.num_generators, axis=1))
     m = ModuleTruncation(a, dims, action)
     m.subspace_bases = bases
     return m

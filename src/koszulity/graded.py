@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import RowSpan
+from . import gf
 from .algebra import DegreewiseAlgebra, SymmetryMode, free_product, normal_monomials
 from .monomials import GeneratorOrder, Monomial, divisors_degree
 
@@ -68,13 +68,17 @@ def _divisor_closure_failures(g: MonomialTruncation) -> list[Monomial]:
     return bad
 
 
+def _degree1_witnesses(surviving: list[list[Monomial]]) -> list[Monomial]:
+    """The survivors of degree n >= 2, by degree, that are no generator times
+    a survivor of degree n - 1; surviving[n] holds the degree-n survivors."""
+    lower = [set(s) for s in surviving]
+    return [m for n in range(2, len(surviving)) for m in surviving[n]
+            if lower[n - 1].isdisjoint(divisors_degree(m, n - 1))]
+
+
 def check_generated_degree1(g: MonomialTruncation) -> tuple[bool, list[Monomial]]:
     """Every degree >= 2 survivor must be generator * (degree n-1 survivor)."""
-    witnesses = []
-    for n in range(2, g.n_max + 1):
-        for m in g.surviving[n]:
-            if not any(g.survives(d) for d in divisors_degree(m, n - 1)):
-                witnesses.append(m)
+    witnesses = _degree1_witnesses(g.surviving)
     return not witnesses, witnesses[:16]
 
 
@@ -128,31 +132,17 @@ def module_surviving_monomials(a: DegreewiseAlgebra, subspace_bases: list[np.nda
     """Surviving monomials of a graded subspace M_n <= A_n under the induced
     filtration: m survives iff dim(M cap F_m) > dim(M cap F_(m-)).
 
-    subspace_bases[n] has the basis rows of M_n in A_n coordinates.
+    subspace_bases[n] has the basis rows of M_n in A_n coordinates.  F_m is
+    spanned by the values of the survivor words of `word_basis` up to m, so
+    written in word coordinates dim(M cap F_m) counts the greatest-index
+    pivots of M_n at or below m's word: the survivors are the words at the
+    pivots.
     """
-    p = a.fld.l
-    mbasis = subspace_bases[n]
-    dim_m = mbasis.shape[0]
-    if dim_m == 0:
-        return []
-    filt = RowSpan(a.dims[n], p)
-    joint = RowSpan(a.dims[n], p)  # M + F
-    for row in mbasis:
-        joint.add(row)
-    out: list[Monomial] = []
-    prev = 0
-    for m in normal_monomials(a.order, n, a.mode):
-        if prev == dim_m:
-            break
-        v = a.monomial_value(m)
-        filt.add(v)
-        joint.add(v)
-        # dim(M cap F) = dim M + dim F - dim(M + F)
-        cur = dim_m + filt.dim - joint.dim
-        if cur > prev:
-            out.append(m)
-            prev = cur
-    return out
+    words, coords = a.word_basis(n)
+    rows = (subspace_bases[n] @ coords) % a.fld.l
+    pivots = gf.dict_pivots((dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist()))
+                             for row in rows), a.fld.l)
+    return [words[k] for k in sorted(pivots)]
 
 
 def check_module_generated_degree1(a: DegreewiseAlgebra,
@@ -160,15 +150,9 @@ def check_module_generated_degree1(a: DegreewiseAlgebra,
     """Is gr^F M generated over gr^F A by its degree-1 survivors?
 
     Each degree >= 2 module survivor must be a generator times a degree n-1
-    module survivor.
+    module survivor.  The witnesses come in ascending invlex order.
     """
-    n_top = len(subspace_bases) - 1
-    surv = [set()] + [set(module_surviving_monomials(a, subspace_bases, n))
-                      for n in range(1, n_top + 1)]
-    witnesses = []
-    for n in range(2, n_top + 1):
-        for m in surv[n]:
-            if not any(d in surv[n - 1] for d in divisors_degree(m, n - 1)):
-                witnesses.append(m)
-    witnesses.sort(key=Monomial.sort_key)
+    surv = [[]] + [module_surviving_monomials(a, subspace_bases, n)
+                   for n in range(1, len(subspace_bases))]
+    witnesses = sorted(_degree1_witnesses(surv), key=Monomial.sort_key)
     return not witnesses, witnesses[:16]

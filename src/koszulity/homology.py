@@ -46,7 +46,6 @@ import numpy as np
 
 from . import gf
 from .algebra import DegreewiseAlgebra, ModuleTruncation, augmentation_module
-from .monomials import mono_enumerate
 
 
 class TorKind(enum.Enum):
@@ -450,19 +449,17 @@ def is_free_exterior(a: DegreewiseAlgebra) -> bool:
 
 def _contractions(lam: DegreewiseAlgebra, i: int) -> tuple[int, int, list[tuple[int, int, int]]]:
     """Gamma_i and Gamma_(i-1), with the degree-i and degree-(i-1) monomials
-    in the dual variables as bases: their sizes, and a triple (column, g,
-    row) for each monomial of Gamma_i and each variable g in it, the row
-    being the monomial's contraction by g in Gamma_(i-1)."""
-    src_b = mono_enumerate(lam.order, i, squarefree=False)
-    tgt_pos = {mo.word(): k for k, mo in
-               enumerate(mono_enumerate(lam.order, i - 1, squarefree=False))}
-    triples = []
-    for bcol, mono in enumerate(src_b):
-        w = mono.word()
-        for g, _ in mono.exps:
-            k = w.index(g)
-            triples.append((bcol, g, tgt_pos[w[:k] + w[k + 1:]]))
-    return len(src_b), len(tgt_pos), triples
+    in the dual variables as bases, each an ascending tuple of variables:
+    their sizes, and a triple (column, g, row) for each monomial of Gamma_i
+    and each variable g in it, the row being the monomial's contraction by g
+    in Gamma_(i-1)."""
+    gens = range(lam.num_generators)
+    src = list(itertools.combinations_with_replacement(gens, i))
+    tgt_pos = {w: k for k, w in enumerate(itertools.combinations_with_replacement(gens, i - 1))}
+    triples = [(col, g, tgt_pos[w[:k] + w[k + 1:]])
+               for col, w in enumerate(src) for k, g in enumerate(w)
+               if k == 0 or w[k - 1] != g]
+    return len(src), len(tgt_pos), triples
 
 
 def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation, i: int, j: int,
@@ -596,10 +593,12 @@ def _check_engine(engine: str) -> None:
 def tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int,
                 engine: str = "auto") -> TorTable:
     """Tor_{i,j}(k,k) over A: 1 at (0, 0), and Tor_{i-1,j}(k, A_+) from
-    `tor_module` (with its engine rule) at (i, j) for i >= 1."""
+    `tor_module` (with its engine rule) at (i, j) for i >= 1.  Rows with
+    i > j_max are zero by degree, so the table stops at min(i_max, j_max)."""
     _check_engine(engine)
     if j_max > a.n_max:
         raise ValueError("j_max exceeds the algebra truncation")
+    i_max = min(i_max, j_max)
     dims = {(0, 0): 1}
     if i_max >= 1:
         plus = tor_module(a, augmentation_module(a, a), i_max - 1, j_max, engine)
@@ -613,10 +612,12 @@ def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int
     "auto".  The `auto` rule: the bar complex when A and M are monomial (the
     multidegree split) or the largest unsplit bar term in the window has at
     most DENSE_BAR_LIMIT basis vectors; else the Koszul complex when A is a
-    free exterior algebra; else the resolution."""
+    free exterior algebra; else the resolution.  Rows with i > j_max are zero
+    by degree, so the table stops at min(i_max, j_max)."""
     _check_engine(engine)
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
+    i_max = min(i_max, j_max)
     if engine == "auto":
         if _monomial(a, m) or _dense_cost(a, m, i_max, j_max) <= DENSE_BAR_LIMIT:
             engine = "bar"

@@ -8,7 +8,7 @@ import pytest
 
 from koszulity.algebra import (SymmetryMode, degreewise_expand, ideal_module,
                                normal_monomials)
-from koszulity.gf import PrimeField
+from koszulity.gf import PrimeField, rank
 from koszulity.graded import (MonomialTruncation, associated_graded,
                               check_generated_degree1,
                               check_module_generated_degree1,
@@ -188,6 +188,37 @@ class TestModuleFiltration:
         m = ideal_module(a, np.eye(3, dtype=np.int64)[0])
         ok, witnesses = check_module_generated_degree1(a, m.subspace_bases)
         assert ok and witnesses == []
+
+    def test_survivors_follow_the_definition(self):
+        # m survives where dim(M cap F_m) = dim M + dim F_m - rank [M; F_m]
+        # grows, F_m spanned by the values of all monomials <= m; and each
+        # action matrix writes the generator's image in the basis of M_(n+1)
+        rng = random.Random(41)
+        for case in range(32):
+            l = (2, 3, 5, 7)[case % 4]
+            mode = (SymmetryMode.COMMUTATIVE, SymmetryMode.SUPERCOMMUTATIVE)[case // 4 % 2]
+            ngen = rng.randint(2, 5)
+            a = degreewise_expand(random_presentation(rng, l, mode, ngen, rng.randint(0, 3)), 4)
+            c = np.zeros(ngen, dtype=np.int64)
+            while not c.any():
+                c = np.array([rng.randrange(l) for _ in range(ngen)], dtype=np.int64)
+            m = ideal_module(a, c)
+            bases = m.subspace_bases
+            for n in range(1, a.n_max + 1):
+                expected, values, prev = [], [], 0
+                for mono in normal_monomials(a.order, n, a.mode):
+                    values.append(a.monomial_value(mono))
+                    filt = np.array(values).reshape(len(values), a.dims[n])
+                    cap = bases[n].shape[0] + rank(filt, l) \
+                        - rank(np.vstack([bases[n], filt]), l)
+                    if cap > prev:
+                        expected.append(mono)
+                        prev = cap
+                assert module_surviving_monomials(a, bases, n) == expected, (case, n)
+            for n in range(1, a.n_max):
+                for g in range(ngen):
+                    assert not ((bases[n + 1].T @ m.action[n][g]
+                                 - a.gen_action[n][g] @ bases[n].T) % l).any(), (case, n, g)
 
     def test_counts_match_dims(self):
         a = exterior_algebra(4, l=3, n_max=4)

@@ -86,6 +86,15 @@ class TestTor:
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("i\\j")
 
+    def test_huge_max_i_prints_rows_through_max_j(self, capsys, tmp_path):
+        # rows with i > max_j are zero by degree and are not printed
+        path = write_json(tmp_path, "p.json", exterior2_presentation())
+        start = time.monotonic()
+        code, out, _ = run(capsys, "tor", path, "--max-i", str(10 ** 12), "--max-j", "2")
+        assert time.monotonic() - start < 5
+        assert code == EXIT_OK
+        assert [line.split()[0] for line in out.splitlines()[1:]] == ["0", "1", "2"]
+
 
 class TestCheck:
     def test_local_symplectic_koszul(self, capsys, tmp_path, monkeypatch):
