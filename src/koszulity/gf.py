@@ -3,10 +3,10 @@
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
 kernels, solving and inverses all read its result.  There is one sparse
-elimination, `dict_pivots`, on {index: value} dicts of Python ints: its
-greatest-index pivots give `sparse_rank` and the resolution's generators.  The
-model generators draw a random element of a row space with
-`random_combination`.
+elimination, `dict_pivots`, on {index: value} vectors of Python ints: its
+greatest-index pivots give the bar complex's top-down ranks, `sparse_rank`
+for the Koszul complex, and the resolution's generators.  The model
+generators draw a random element of a row space with `random_combination`.
 
 The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
 most l - 1 < 2^16 in absolute value, so a single product of two entries
@@ -245,21 +245,22 @@ class SparseMatrixGF:
 
 
 def dict_pivots(vectors, p: int) -> set[int]:
-    """The greatest-index pivots mod p of an iterable of {index: value}
-    vectors with no zeros stored: the last indices of an echelon basis of
-    their span, where every nonzero vector of the span ends.
+    """The greatest-index pivots mod p of an iterable of vectors, {index:
+    value} dicts or (index, value) pairs with no zeros stored: the last
+    indices of an echelon basis of their span, where every nonzero vector of
+    the span ends.  Its callers are the bar complex's `_top_down_pivots`,
+    `sparse_rank` for the Koszul complex, and the resolution's generators.
 
     Each vector is reduced against the pivots so far, keyed by their
     greatest index, until it is zero or becomes a new pivot.  The vectors
     are not changed, and may be streamed: only the pivots are held.
 
-    The key decides the fill-in, the entries that reductions add.  The
-    least row of a Koszul-complex column is shared by more columns than its
-    greatest row (11.9 against 7.1 on average, on the largest differential
-    of the 9-generator symplectic module at (5, 6)), so least-index pivots
-    chain more reductions: there they take 9 times the reduction steps and
-    store 5.5 times the entries.  On the split bar's blocks the two orders
-    are about even.
+    The key decides the fill-in.  The least row of a Koszul-complex column
+    is shared by more columns than its greatest row (11.9 against 7.1 on
+    average, on the largest differential of the 9-generator symplectic
+    module at (5, 6)), so least-index pivots there take 9 times the
+    reduction steps and store 5.5 times the entries.  On the split bar's
+    blocks the two orders are about even.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for v in map(dict, vectors):

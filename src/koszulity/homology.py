@@ -8,25 +8,25 @@ degree i is the reduced bar complex of k in degree i+1.
 
 Three engines compute the same module table:
 
-* the bar complex on integer indices, as blocks of sparse columns, each
-  checked for d^2=0 by its full exact product and ranked by sparse
-  elimination on its own.  When the algebra and module have a monomial
-  basis the differential preserves the total exponent vector, so the
-  complex splits by multidegree into many tiny blocks; otherwise each
-  internal degree is one block, the unsplit bar.  Monomial blocks repeat:
-  every factor of a tuple in the mu-block divides mu, so the block is that
-  of the restriction of A and M to the support of mu (the restriction
-  behind Hochster's formula).  Its key, `_BlockKeys`, names that
-  restriction exactly, structure constants included, up to an order of
-  the support; within one call each key's block is built, checked and
-  ranked once, and later multidegrees with the key add its homology.  An
-  input whose monomials could not make the key exact builds every block;
+* the bar complex on integer indices.  For monomial A and M, d keeps the
+  multidegree, so the complex splits into tiny blocks, and blocks with one
+  `_BlockKeys` key are alike; otherwise each degree is one block.  The
+  tuples of the distinct blocks of all degrees are stacked as one int64
+  array per tier (`_find` codes them exactly, every code below 2^63),
+  each d is read off a table of product terms as compressed columns, and
+  each d^2=0 check is one exact sparse product, before any rank.  Ranks go
+  top-down through `gf.dict_pivots`, which gets only the columns of d_i
+  outside the greatest-index pivots L of d_(i+1).  Given d_i d_(i+1) = 0
+  this is exact: each l in L ends some w in im d_(i+1) in ker d_i, so d_i e_l
+  is a combination of the d_i e_k for k < l, and by induction on l of those
+  for k outside L.  Blocks share no rows: one stream per tier suffices;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
   generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1}:
   the kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1});
-* the Koszul complex M (x) Gamma, for modules over a free exterior algebra.
+* the Koszul complex M (x) Gamma, for modules over a free exterior algebra,
+  checked by the same product and ranked by `gf.sparse_rank`.
 
 `tor_module`'s `auto` rule, the only one, picks the bar complex when A and M
 are monomial or the largest unsplit bar term has at most DENSE_BAR_LIMIT
@@ -117,11 +117,11 @@ def _bar_term_dims(a: DegreewiseAlgebra, m: ModuleTruncation, j: int) -> list[in
 
 class _SplitBasis:
     """The algebra and module in integers: the basis vectors of A_d and M_e,
-    d, e <= j_max, are the global indices in alg[d] and mod[e], and
-    prod[g1][g2] lists the terms (coef, g) of g1 * g2 != 0.  When A and M are
-    monomial, mono[g] is g's basis monomial and key[g] its exponent vector
-    read in base n_max + 1, so keys add under products; otherwise mono is
-    None and every key is 0."""
+    d, e <= j_max, are the global indices in alg[d] and mod[e], size in all,
+    and the terms coef * g of each g1 * g2 != 0 (g1 in A_+) are coefs and gs,
+    sorted by code = g1 * size + g2.  When A and M are monomial, mono[g] is
+    g's basis monomial and key[g] its exponent vector read in base n_max + 1,
+    so keys add under products; otherwise mono is None and every key is 0."""
 
     def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j_max: int):
         self.p, self.alg, self.mod = a.fld.l, [], []
@@ -130,31 +130,28 @@ class _SplitBasis:
             for d in dims[:j_max + 1]:
                 ranges.append(range(size, size + d))
                 size += d
-        self.base = a.n_max + 1
+        self.size, self.base = size, a.n_max + 1
         self.mono = [mo for bases in (a.basis_monomials, m.basis_monomials)
                      for monos in bases[:j_max + 1] for mo in monos] \
             if _monomial(a, m) else None
         self.key = [sum(e * self.base ** r for r, e in mo.exps) for mo in self.mono] \
             if self.mono is not None else [0] * size
-        self.prod: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(size)]
+        terms = [np.zeros((3, 0), dtype=np.int64)]
         for d in range(1, j_max + 1):
             for e in range(1, j_max + 1 - d):
                 for product, right in ((a.mult_matrix, self.alg), (m.action_matrix, self.mod)):
                     if self.alg[d] and right[e] and right[d + e]:
-                        self._record(product(d, e), self.alg[d], right[e], right[d + e])
-
-    def _record(self, mat: np.ndarray, left: range, src: range, tgt: range) -> None:
-        """Enter the terms read off mat, whose column i * len(src) + k is
-        left[i] * src[k] in the basis tgt.  A term whose key is not the sum of
-        its factors' keys fails: the product is then not monomial."""
-        key, prod, n = self.key, self.prod, len(src)
-        rows, cols = np.nonzero(mat)
-        for r, c, v in zip((tgt.start + rows).tolist(), cols.tolist(),
-                           mat[rows, cols].tolist()):
-            g1, g2 = left.start + c // n, src.start + c % n
-            if key[r] != key[g1] + key[g2]:
+                        mat = product(d, e)
+                        rows, cols = np.nonzero(mat)
+                        g1, g2 = np.divmod(cols, len(right[e]))
+                        terms.append(np.array([(self.alg[d].start + g1) * size + right[e].start
+                                               + g2, right[d + e].start + rows, mat[rows, cols]]))
+        terms = np.concatenate(terms, axis=1)
+        self.code, self.gs, self.coefs = terms[:, np.argsort(terms[0], kind="stable")]
+        if self.mono is not None:  # Python int keys: exact for any number of variables
+            key = np.array(self.key, dtype=object)
+            if (key[self.gs] != key[self.code // size] + key[self.code % size]).any():
                 raise ValueError("product is not monomial")
-            prod[g1].setdefault(g2, []).append((v, r))
 
 
 class _BlockKeys:
@@ -189,8 +186,8 @@ class _BlockKeys:
                     self.label[g] = (kind, d, tuple(exps))
                     self.mask[g] = sum(1 << r for r, _ in st.mono[g].exps)
         # a product term lives on the support of its value
-        self.terms = [(self.mask[g], g1, g2, coef, g) for g1 in self.label
-                      for g2, products in st.prod[g1].items() for coef, g in products]
+        self.terms = [(self.mask[g], c // st.size, c % st.size, coef, g) for c, coef, g
+                      in zip(st.code.tolist(), st.coefs.tolist(), st.gs.tolist())]
         self.ids: dict[tuple, int] = {}
         self.supports: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
 
@@ -260,82 +257,113 @@ def _tuples(st: _SplitBasis, reach, memo: dict, i: int, j: int, mu: int) -> dict
     return got
 
 
-def _split_block_diff(st: _SplitBasis, src: list[tuple],
-                      tgt: list[tuple]) -> list[dict[int, int]]:
-    """The block of d from the tuples src to the tuples tgt, as one
-    {row: coef} column per source tuple.  The terms of one column differ in
-    the degree of the factor at the merged position, or in that factor
-    itself, so no row is hit twice."""
-    p, prod = st.p, st.prod
-    pos = {t: k for k, t in enumerate(tgt)}
-    cols = []
-    for t in src:
-        # t = (a_1, ..., a_i, b): products of neighbours, the last one acting
-        col: dict[int, int] = {}
-        for s in range(len(t) - 1):
-            for coef, g in prod[t[s]].get(t[s + 1], ()):
-                row = pos.get(t[:s] + (g,) + t[s + 2:])
-                if row is not None:
-                    col[row] = coef if s % 2 == 0 else p - coef
-        cols.append(col)
-    return cols
+def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int) -> tuple:
+    """Compressed columns (ptr, rows, vals): column c has the nonzero values
+    vals[ptr[c]:ptr[c + 1]] in the rows rows[ptr[c]:ptr[c + 1]]."""
+    order = np.argsort(cols, kind="stable")
+    return (np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ncols)))),
+            rows[order], vals[order])
 
 
-def _columns_product_nonzero(lo: list[dict[int, int]], hi: list[dict[int, int]], p) -> bool:
-    """Is lo @ hi nonzero mod p, for matrices given as lists of {row: coef}
-    columns?  The full product, exactly."""
-    for col in hi:
-        acc: dict[int, int] = {}
-        for mid, v in col.items():
-            for r, w in lo[mid].items():
-                acc[r] = (acc.get(r, 0) + v * w) % p
-        if any(acc.values()):
-            return True
-    return False
+def _ragged(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """start[k], start[k] + 1, ..., start[k] + counts[k] - 1 for each k in turn."""
+    return np.arange(counts.sum()) + np.repeat(start + counts - np.cumsum(counts), counts)
 
 
-def _block_homology(st: _SplitBasis, tiers: list[list[tuple]], j: int) -> list[tuple[int, int]]:
-    """(i, dim H_i) for each nonzero homology of one block of degree j, given
-    its tuples tier by tier: d checked for d^2=0 and ranked."""
-    diffs = [_split_block_diff(st, tiers[i], tiers[i - 1]) for i in range(1, len(tiers))]
-    for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
-        if _columns_product_nonzero(lo, hi, st.p):
-            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, j={j})")
-    ranks = [0] + [len(gf.dict_pivots(d, st.p)) for d in diffs]
-    return [(i, h) for i in range(len(diffs))
-            if (h := len(tiers[i]) - ranks[i] - ranks[i + 1])]
+def _product(lo: tuple, hi: tuple, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of lo @ hi mod p, the full
+    product, exactly: entries are keyed by col * (rows of lo) + row, and
+    summed in float64 from terms reduced mod p, exact below 2^37 terms."""
+    (lptr, lrows, lvals), (hptr, hrows, hvals) = lo, hi
+    per = lptr[hrows + 1] - lptr[hrows]
+    at = _ragged(lptr[hrows], per)
+    n = int(lrows.max()) + 1 if lrows.size else 1
+    key, inv = np.unique(np.repeat(np.repeat(np.arange(len(hptr) - 1), np.diff(hptr)), per) * n
+                         + lrows[at], return_inverse=True)
+    sums = np.bincount(inv, np.repeat(hvals, per) * lvals[at] % p).astype(np.int64) % p
+    return key[sums != 0] % n, key[sums != 0] // n, sums[sums != 0]
+
+
+def _find(tier: np.ndarray, queries: np.ndarray, size: int) -> np.ndarray:
+    """The row of tier equal to each row of queries, or -1; entries lie in [0, size).  Rows
+    are coded factor by factor as code * size + factor, the codes replaced by their ranks
+    (below len(tier) + 1) before any step that could reach 2^63, and at the end."""
+    code, qcode, bound, found = tier[:, 0], queries[:, 0], size, np.ones(len(queries), dtype=bool)
+    for c in range(1, tier.shape[1] + 1):
+        if c == tier.shape[1] or bound * size >= 2 ** 63:
+            order = np.argsort(code, kind="stable")
+            ranked = np.append(code[order], 2 ** 63 - 1)
+            at = np.searchsorted(ranked, qcode)
+            found &= ranked[at] == qcode
+            if c == tier.shape[1]:
+                return np.where(found, np.append(order, -1)[at], -1)
+            code, qcode, bound = np.searchsorted(ranked, code), at, len(code) + 1
+        code, qcode, bound = code * size + tier[:, c], qcode * size + queries[:, c], bound * size
+
+
+def _bar_diff(st: _SplitBasis, src: np.ndarray, tgt: np.ndarray) -> tuple:
+    """d from the tuples src (i algebra indices, then a module index) to the
+    tuples tgt by compressed columns: each term, in column col, is (-1)^s
+    times a term of the product of neighbours s, s + 1.  The terms of one
+    column differ in the degree or value of the merged factor: no row repeats."""
+    code = (src[:, :-1] * st.size + src[:, 1:]).ravel()
+    first, end = (np.searchsorted(st.code, code, side) for side in ("left", "right"))
+    terms = _ragged(first, end - first)
+    col, s = np.divmod(np.repeat(np.arange(code.size), end - first), src.shape[1] - 1)
+    k = np.arange(src.shape[1] - 1)
+    merged = src[col[:, None], k + (k > s[:, None])]
+    merged[np.arange(len(s)), s] = st.gs[terms]
+    rows = _find(tgt, merged, st.size)
+    vals = st.coefs[terms] * (1 - 2 * (s % 2)) % st.p
+    return _compress(rows[rows >= 0], col[rows >= 0], vals[rows >= 0], len(src))
+
+
+def _top_down_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
+    """The greatest-index pivots of each d_i = diffs[i - 1], top-down, skipping d_i's
+    columns at the pivots of d_(i+1): exact given d^2=0, as the module docstring shows."""
+    out = [set()]
+    for ptr, rows, vals in reversed(diffs):
+        keep = np.diff(ptr) > 0
+        keep[list(out[-1])] = False
+        pairs, starts = list(zip(rows.tolist(), vals.tolist())), ptr[:-1][keep].tolist()
+        out.append(gf.dict_pivots(
+            (pairs[a:b] for a, b in zip(starts, ptr[1:][keep].tolist())), p))
+    return out[:0:-1]
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
-    """The bar table block by block: d keeps a tuple's total key, so each
-    key's blocks form a complex, checked and ranked on its own.  Keys are
-    multidegrees when A and M are monomial; otherwise all are 0, and each
-    internal degree j is one block.  A monomial block whose `_BlockKeys` key
-    was seen before in the call is not built: it adds the homology stored
-    under that key."""
+    """The bar table in one pass: d keeps a tuple's degree and key (its
+    multidegree for monomial A and M, else 0), so each (degree, key) block is
+    a complex.  One block per degree and `_BlockKeys` key is built, all are
+    stacked tier by tier, and a tuple weighs the multidegrees it stands for."""
     st = _SplitBasis(a, m, j_max)
     keys = _BlockKeys(st) if st.mono is not None else None
-    if keys and not keys.exact():
-        keys = None
+    keys = keys if keys and keys.exact() else None
     reach = _reachable(st, i_max, j_max)
-    memo: dict[tuple[int, int, int], dict[int, list[tuple]]] = {}
-    seen: dict[tuple, list[tuple[int, int]]] = {}
-    dims: dict[tuple[int, int], int] = {}
+    top, blocks, memo, dims = min(i_max + 1, j_max), {}, {}, {}
     for j in range(1, j_max + 1):
-        top = min(i_max + 1, j)
-        for mu in set().union(*(reach.get((i, j), ()) for i in range(top + 1))):
-            key = (j, keys(mu)) if keys else None
-            homology = seen.get(key)
-            if homology is None:
-                tiers = [_tuples(st, reach, memo, i, j, mu) for i in range(top + 1)]
-                # module degree first: in lexicographic order alone the
-                # unsplit bar of a non-monomial input takes ~7% longer to rank
-                homology = _block_homology(
-                    st, [[t for e in sorted(ts) for t in ts[e]] for ts in tiers], j)
-                if key:
-                    seen[key] = homology
-            for i, h in homology:
-                dims[(i, j)] = dims.get((i, j), 0) + h
+        for mu in set().union(*(reach.get((i, j), ()) for i in range(min(i_max + 1, j) + 1))):
+            blocks.setdefault((j, keys(mu) if keys else mu), [j, mu, 0])[2] += 1
+    tiers, degree, weight = [], [], []
+    bj, bn = np.array([(j, n) for j, _, n in blocks.values()], dtype=np.int64).reshape(-1, 2).T
+    for i in range(top + 1):
+        # module degree first: in lexicographic order alone the unsplit bar
+        # of a non-monomial input takes ~7% longer to rank
+        ts = [[t for e in sorted(got) for t in got[e]]
+              for got in (_tuples(st, reach, memo, i, j, mu) for j, mu, _ in blocks.values())]
+        tiers.append(np.array([t for b in ts for t in b], dtype=np.int64).reshape(-1, i + 1))
+        degree.append(np.repeat(bj, [len(b) for b in ts]))
+        weight.append(np.repeat(bn, [len(b) for b in ts]))
+    diffs = [_bar_diff(st, tiers[i], tiers[i - 1]) for i in range(1, top + 1)]
+    for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
+        if (cols := _product(lo, hi, st.p)[1]).size:
+            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, "
+                                 f"j={degree[i + 1][cols].min()})")
+    ranks = [0] + [np.bincount(degree[i][list(piv)], weight[i][list(piv)], minlength=j_max + 1)
+                   for i, piv in enumerate(_top_down_pivots(diffs, st.p))]
+    for i in range(top):
+        h = np.bincount(degree[i], weight[i], minlength=j_max + 1) - ranks[i] - ranks[i + 1]
+        dims.update({(i, j): int(h[j]) for j in np.flatnonzero(h).tolist()})
     return dims
 
 
@@ -498,9 +526,10 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
     for j in range(1, j_max + 1):
         top = min(i_max, j - 1)
         diffs = [_koszul_complex_diff(lam, m, i, j, gammas[i]) for i in range(1, top + 2)]
-        cols = [d.columns() for d in diffs]
+        cols = [_compress(e[:, 0], e[:, 1], e[:, 2] % p, d.cols) for d in diffs
+                for e in [np.array(d.entries, dtype=np.int64).reshape(-1, 3)]]
         for i, (lo, hi) in enumerate(zip(cols, cols[1:]), 1):
-            if _columns_product_nonzero(lo, hi, p):
+            if _product(lo, hi, p)[2].size:
                 raise AssertionError(f"Koszul complex fails d^2=0 at (i={i + 1}, j={j})")
         ranks = [0] + [gf.sparse_rank(dmat) for dmat in diffs]
         for i in range(top + 1):

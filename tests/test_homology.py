@@ -1,6 +1,8 @@
 """Bar-complex Tor tables, Koszul scans, and engine cross-audits."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -140,6 +142,13 @@ class TestBarModule:
         for i in range(4):
             for j in range(4):
                 assert t.entry(i, j + 1) == alg.entry(i, j)
+
+    def test_zero_module(self):
+        lam = exterior_algebra(2, n_max=3)
+        zero = [None] + [[np.zeros((0, 0), dtype=np.int64)] * 2 for _ in range(1, 3)]
+        m = ModuleTruncation(lam, [0, 0, 0, 0], zero)
+        for engine in homology.ENGINES:
+            assert tor_module(lam, m, 3, 3, engine).dims == {}, engine
 
     def test_cycle_table(self):
         n = 4
@@ -310,8 +319,8 @@ class TestSplitBar:
             for mode, n in ((SymmetryMode.COMMUTATIVE, 3), (SymmetryMode.SUPERCOMMUTATIVE, 4)):
                 a = degreewise_expand(random_presentation(rng, l, mode, n, 2), 4)
                 plus = augmentation_module(a, a)
-                assert any(len(terms) > 1 for products in homology._SplitBasis(a, plus, 4).prod
-                           for terms in products.values()), (l, mode)
+                # some pair of basis vectors has a product of several terms
+                assert (np.diff(homology._SplitBasis(a, plus, 4).code) == 0).any(), (l, mode)
                 c = np.array([rng.randrange(l) for _ in range(n - 1)] + [1], dtype=np.int64)
                 for i_max, j_max in ((4, 4), (2, 4)):
                     alg = {(i + 1, j): h for (i, j), h in
@@ -588,6 +597,121 @@ def _series_quotient(num, den, n):
     return q
 
 
+def _cols(dense: np.ndarray):
+    """A dense matrix by compressed columns."""
+    cols, rows = np.nonzero(dense.T)
+    return homology._compress(rows, cols, dense[rows, cols], dense.shape[1])
+
+
+def _random_complex(rng: np.random.Generator, p: int) -> list[np.ndarray]:
+    """Dense d_1, ..., d_k mod p with d_i d_(i+1) = 0, built from the top:
+    the rows of each d_i are random sparse combinations of the left kernel
+    of d_(i+1)."""
+    sizes = rng.integers(0, 12, size=rng.integers(2, 6)).tolist()
+    sparse = lambda shape: rng.integers(0, p, size=shape) * (rng.random(shape) < 0.4)
+    diffs = [sparse((sizes[-2], sizes[-1])) % p]
+    for i in range(len(sizes) - 2, 0, -1):
+        left = gf.nullspace(diffs[0].T, p)
+        diffs.insert(0, (sparse((sizes[i - 1], left.shape[0])) @ left) % p)
+    return diffs
+
+
+class TestBarArrays:
+    """The array kernels of the bar against loop references."""
+
+    def test_top_down_pivots_match_independent_elimination(self):
+        # exact on complexes with d^2 = 0: the pivots of every d_i equal the
+        # greatest-index pivots of all its columns, so the ranks agree too
+        rng = np.random.default_rng(17)
+        for p in (2, 3, 5, 7) * 50:
+            diffs = _random_complex(rng, p)
+            assert not any(((lo @ hi) % p).any() for lo, hi in zip(diffs, diffs[1:]))
+            got = homology._top_down_pivots([_cols(d) for d in diffs], p)
+            for d, piv in zip(diffs, got):
+                columns = [{r: int(d[r, c]) for r in np.flatnonzero(d[:, c])}
+                           for c in range(d.shape[1])]
+                assert piv == gf.dict_pivots(columns, p)
+                assert len(piv) == gf.rank(d, p)
+
+    def test_product_matches_dict_reference(self):
+        rng = np.random.default_rng(23)
+        for p in (2, 3, 5, 65521) * 25:
+            n0, n1, n2 = rng.integers(0, 15, size=3)
+            lo, hi = (rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+                      for shape in ((n0, n1), (n1, n2)))
+            want: dict[tuple[int, int], int] = {}
+            for c in range(n2):
+                for k in np.flatnonzero(hi[:, c]):
+                    for r in np.flatnonzero(lo[:, k]):
+                        want[(r, c)] = (want.get((r, c), 0) + int(lo[r, k]) * int(hi[k, c])) % p
+            rows, cols, vals = homology._product(_cols(lo), _cols(hi), p)
+            assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == \
+                {k: v for k, v in want.items() if v}
+
+    def test_product_catches_one_corrupted_entry(self):
+        # adding 1 at (k, c) of d_(i+1) adds column k of d_i to column c of
+        # the product, which was 0
+        rng = np.random.default_rng(29)
+        caught = 0
+        for p in (2, 3, 5) * 40:
+            diffs = _random_complex(rng, p)
+            for lo, hi in zip(diffs, diffs[1:]):
+                assert not homology._product(_cols(lo), _cols(hi), p)[2].size
+                nonzero = np.flatnonzero(lo.any(axis=0))
+                if not (nonzero.size and hi.shape[1]):
+                    continue
+                k, c = int(rng.choice(nonzero)), int(rng.integers(hi.shape[1]))
+                bad = hi.copy()
+                bad[k, c] = (bad[k, c] + 1) % p
+                rows, cols, vals = homology._product(_cols(lo), _cols(bad), p)
+                assert set(cols.tolist()) == {c}
+                assert dict(zip(rows.tolist(), vals.tolist())) == \
+                    {r: int(lo[r, k]) for r in np.flatnonzero(lo[:, k])}
+                caught += 1
+        assert caught > 100
+
+    def test_find_is_exact_past_int64_codes(self):
+        # four factors of a basis of 2^21 vectors: size**4 = 2^84, and read
+        # in base 2^21 mod 2^64 the first factor keeps its parity alone, so
+        # every miss below, a row of the tier with its first factor moved by
+        # 2, would wrap onto the code of that row
+        rng = np.random.default_rng(31)
+        size = 2 ** 21
+        tier = np.unique(rng.integers(size - 9, size, size=(2000, 4)), axis=0)
+        tier = tier[rng.permutation(len(tier))]
+        moved = tier.copy()
+        moved[:, 0] -= 2 * rng.integers(5, 100, size=len(tier))
+        queries = np.concatenate([tier[rng.permutation(len(tier))], moved,
+                                  rng.integers(size - 9, size, size=(500, 4))])
+        index = {t: k for k, t in enumerate(map(tuple, tier.tolist()))}
+        got = homology._find(tier, queries, size)
+        assert got.tolist() == [index.get(t, -1) for t in map(tuple, queries.tolist())]
+        assert (got[len(tier):2 * len(tier)] == -1).all()
+
+
+def _dense(d, nrows: int) -> np.ndarray:
+    """A matrix given by compressed columns, as a dense array."""
+    ptr, rows, vals = d
+    out = np.zeros((nrows, len(ptr) - 1), dtype=np.int64)
+    out[rows, np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))] = vals
+    return out
+
+
+def _plus_one(d, r: int, nrows: int, p: int):
+    """d with 1 added to its entry (r, 0) mod p."""
+    dense = _dense(d, nrows)
+    dense[r, 0] = (dense[r, 0] + 1) % p
+    cols, rows = np.nonzero(dense.T)
+    return homology._compress(rows, cols, dense[rows, cols], dense.shape[1])
+
+
+def _live_row(d, lower) -> int:
+    """A row r of column 0 of d whose column of lower is nonzero: 1 added at
+    (r, 0) makes lower @ d nonzero in column 0, within column 0's block."""
+    ptr, rows, _ = d
+    return next(r for r in rows[ptr[0]:ptr[1]].tolist() if lower[0][r + 1] > lower[0][r])
+
+
 class TestCorruptedDifferential:
     """Every d^2=0 check is a full exact product, so one wrong entry in one
     differential is always caught."""
@@ -599,51 +723,43 @@ class TestCorruptedDifferential:
             [[(1, "y^2"), (-1, "x^2"), (-1, "x*y")]]), 3)
         m = augmentation_module(a, a)
         assert not homology._monomial(a, m)
-        build = homology._split_block_diff
+        build = homology._bar_diff
         previous = {}
 
         def corrupted(st, src, tgt):
-            # change entry (r, 0) of d_2 in degree 3, for r a row of d_2
-            # that indexes a nonzero column of d_1, the block built just
-            # before d_2 (blocks of one degree come in order of i, and d_2
-            # is empty below degree 3)
+            # change entry (r, 0) of d_2, for r a row of its column 0 that
+            # indexes a nonzero column of d_1, the differential built just
+            # before d_2 (they come in order of i).  Degree 3 comes first and
+            # d_2 is empty below it, so column 0 and row r have degree 3
             d = build(st, src, tgt)
-            if src and len(src[0]) == 3:
-                r = next(k for k, col in enumerate(previous["d"]) if col)
-                d = [dict(col) for col in d]
-                d[0][r] = (d[0].get(r, 0) + 1) % st.p
-                if not d[0][r]:
-                    del d[0][r]
+            if len(src) and src.shape[1] == 3:
+                d = _plus_one(d, _live_row(d, previous["d"]), len(tgt), st.p)
             previous["d"] = d
             return d
 
         homology._bar_split_table(a, m, 2, 3)
-        monkeypatch.setattr(homology, "_split_block_diff", corrupted)
+        monkeypatch.setattr(homology, "_bar_diff", corrupted)
         with pytest.raises(AssertionError, match=r"d\^2=0 at \(i=2, j=3\)"):
             homology._bar_split_table(a, m, 2, 3)
 
     def test_split_bar(self, monkeypatch):
         a = polynomial_algebra(2, l=3, n_max=3)
-        build = homology._split_block_diff
+        build = homology._bar_diff
         previous = {}
 
         def corrupted(st, src, tgt):
-            # blocks of one multidegree come in order of i, so the block
-            # built just before d_2 is d_1 of the same multidegree; its
-            # columns are indexed by the rows of d_2
+            # the differentials, every multidegree stacked, come in order of
+            # i, so the one built just before d_2 is d_1, whose columns are
+            # indexed by the rows of d_2; the entry changed lies in the block
+            # of column 0 of d_2
             d = build(st, src, tgt)
-            lower = previous.get("d", [])
-            if src and len(src[0]) == 3 and any(lower):
-                r = next(k for k, col in enumerate(lower) if col)
-                d = [dict(col) for col in d]
-                d[0][r] = (d[0].get(r, 0) + 1) % st.p
-                if not d[0][r]:
-                    del d[0][r]
+            if len(src) and src.shape[1] == 3:
+                d = _plus_one(d, _live_row(d, previous["d"]), len(tgt), st.p)
             previous["d"] = d
             return d
 
         bar_tor_algebra(a, 3, 3)
-        monkeypatch.setattr(homology, "_split_block_diff", corrupted)
+        monkeypatch.setattr(homology, "_bar_diff", corrupted)
         with pytest.raises(AssertionError, match=r"d\^2=0"):
             bar_tor_algebra(a, 3, 3)
 
@@ -684,3 +800,43 @@ class TestTableFormats:
         text = t.to_text()
         assert text.splitlines()[0].startswith("i\\j")
         assert len(text.splitlines()) == 3
+
+
+# The six presentation shapes (generators, relations, mode, l) of the
+# `dense-tor` benchmark workload: generic non-monomial quadratic algebras,
+# whose bar complex is one block per degree.
+DENSE_SHAPES = ((3, 1, SymmetryMode.SUPERCOMMUTATIVE, 3), (3, 2, SymmetryMode.COMMUTATIVE, 2),
+                (3, 1, SymmetryMode.COMMUTATIVE, 5), (4, 3, SymmetryMode.SUPERCOMMUTATIVE, 2),
+                (5, 8, SymmetryMode.SUPERCOMMUTATIVE, 5), (4, 3, SymmetryMode.COMMUTATIVE, 3))
+
+# sha256 of pinned_bar_tables(), recorded before the bar was built as
+# per-degree arrays and ranked top-down
+BAR_TABLES_SHA256 = "4fd6b24b408932b52865711ff098b5f23d1cf1b8f0135519110f3e2e9f918c42"
+
+
+def pinned_bar_tables() -> list:
+    """The bar's tables on 488 seeded cases: the algebra and the A_+ module
+    over the exterior cover of all 64 graphs on 4 vertices at bound 5, and
+    60 seeded presentations of each dense shape, at bound 5 for every 12th
+    seed and 4 otherwise."""
+    fld = PrimeField(2)
+    lam = free_algebra(fld, SymmetryMode.SUPERCOMMUTATIVE, gen_order(4), 5)
+    tables = []
+    for t in all_graphs(4):
+        a = graph_algebra(t, fld, n_max=5)
+        tables.append(tor_algebra(a, 5, 5, engine="bar").to_json())
+        tables.append(tor_module(lam, augmentation_module(a, lam), 5, 5, engine="bar").to_json())
+    for k, (n, r, mode, l) in enumerate(DENSE_SHAPES):
+        for seed in range(60):
+            bound = 5 if seed % 12 == 0 else 4
+            rng = random.Random(f"dense:{k}:{seed}")
+            a = degreewise_expand(random_presentation(rng, l, mode, n, r), bound)
+            tables.append(tor_algebra(a, bound, bound, engine="bar").to_json())
+    return tables
+
+
+def test_bar_tables_pinned():
+    tables = pinned_bar_tables()
+    assert len(tables) == 488
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BAR_TABLES_SHA256
