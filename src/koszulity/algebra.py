@@ -377,9 +377,11 @@ class ModuleTruncation:
 
     def action_matrix(self, d: int, n: int) -> np.ndarray:
         """Matrix of A_d x M_n -> M_(n+d); column index = i_d * dims[n] + i_n."""
-        key = (d, n)
-        if key not in self._act_cache:
-            self._act_cache[key] = word_action(self.algebra, self.action, self.dims, d, n)
+        key, a = (d, n), self.algebra
+        if key not in self._act_cache:  # A_+ over A, n, d >= 1: the same as a.mult_matrix
+            same = n * d and all(self.action[k] is a.gen_action[k] for k in range(n, n + d))
+            self._act_cache[key] = a.mult_matrix(d, n) if same else \
+                word_action(a, self.action, self.dims, d, n)
         return self._act_cache[key]
 
 

@@ -4,7 +4,7 @@ Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
 kernels, solving and inverses all read its result.  There is one sparse
 elimination, `dict_pivots`, on {index: value} vectors of Python ints: its
-greatest-index pivots give the bar complex's top-down ranks, `sparse_rank`
+greatest-index pivots give the bar complex's bottom-up ranks, `sparse_rank`
 for the Koszul complex, and the resolution's generators.  The model
 generators draw a random element of a row space with `random_combination`.
 
@@ -248,12 +248,13 @@ def dict_pivots(vectors, p: int) -> set[int]:
     """The greatest-index pivots mod p of an iterable of vectors, {index:
     value} dicts or (index, value) pairs with no zeros stored: the last
     indices of an echelon basis of their span, where every nonzero vector of
-    the span ends.  Its callers are the bar complex's `_top_down_pivots`,
+    the span ends.  Its callers are the bar complex's `_bottom_up_pivots`,
     `sparse_rank` for the Koszul complex, and the resolution's generators.
 
     Each vector is reduced against the pivots so far, keyed by their
-    greatest index, until it is zero or becomes a new pivot.  The vectors
-    are not changed, and may be streamed: only the pivots are held.
+    greatest index, until it is zero or a new pivot (at once for the first
+    with its greatest index when these ascend, as the bar's rows do).  The
+    vectors, unchanged, may be streamed in any order: only pivots are held.
 
     The key decides the fill-in.  The least row of a Koszul-complex column
     is shared by more columns than its greatest row (11.9 against 7.1 on

@@ -13,13 +13,14 @@ Three engines compute the same module table:
   `_BlockKeys` key are alike; otherwise each degree is one block.  The
   tuples of the distinct blocks of all degrees are stacked as one int64
   array per tier (`_find` codes them exactly, every code below 2^63),
-  each d is read off a table of product terms as compressed columns, and
-  each d^2=0 check is one exact sparse product, before any rank.  Ranks go
-  top-down through `gf.dict_pivots`, which gets only the columns of d_i
-  outside the greatest-index pivots L of d_(i+1).  Given d_i d_(i+1) = 0
-  this is exact: each l in L ends some w in im d_(i+1) in ker d_i, so d_i e_l
-  is a combination of the d_i e_k for k < l, and by induction on l of those
-  for k outside L.  Blocks share no rows: one stream per tier suffices;
+  each d is read off a table of product terms by compressed rows, and each
+  d^2=0 check is one exact sparse product, before any rank.  Ranks go
+  bottom-up: `gf.dict_pivots` gets d_i's nonempty rows outside the pivots L
+  of d_(i-1)'s rows, by ascending last column.  As d_i^T d_(i-1)^T = 0, each
+  l in L ends some w in im d_(i-1)^T in ker d_i^T: row l is a combination of
+  rows k < l, so of those outside L.  The first row per last column is a
+  pivot at once; H_{i-1,j} less the empty rows outside L reduce to 0, for M
+  generated in degree 1 only off-diagonal ones.  Blocks share no rows;
 * a minimal free resolution built degree by degree, where Tor_{i,j} is read
   off as the number of degree-j generators of the i-th syzygy module (valid
   because the algebras here are generated in degree 1, so minimal
@@ -259,10 +260,16 @@ def _tuples(st: _SplitBasis, reach, memo: dict, i: int, j: int, mu: int) -> dict
 
 def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int) -> tuple:
     """Compressed columns (ptr, rows, vals): column c has the nonzero values
-    vals[ptr[c]:ptr[c + 1]] in the rows rows[ptr[c]:ptr[c + 1]]."""
+    vals[ptr[c]:ptr[c + 1]] in the rows rows[ptr[c]:ptr[c + 1]], kept in input order."""
     order = np.argsort(cols, kind="stable")
     return (np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ncols)))),
             rows[order], vals[order])
+
+
+def _stream(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, which=None):
+    """The vectors of compressed arrays, all or those in `which`, as (index, value) pairs."""
+    ptr, pairs = ptr.tolist(), list(zip(idx.tolist(), vals.tolist()))
+    return (pairs[ptr[k]:ptr[k + 1]] for k in (range(len(ptr) - 1) if which is None else which))
 
 
 def _ragged(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -271,17 +278,23 @@ def _ragged(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _product(lo: tuple, hi: tuple, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the nonzero entries of lo @ hi mod p, the full
-    product, exactly: entries are keyed by col * (rows of lo) + row, and
-    summed in float64 from terms reduced mod p, exact below 2^37 terms."""
+    """(rows, cols, values) of the nonzero entries of lo @ hi mod p, the full product, exactly,
+    over slices of hi's columns of at most PRODUCT_SLICE terms (or one column): keyed by
+    col * (rows of lo) + row, and summed in float64 from terms reduced mod p (below 2^37)."""
     (lptr, lrows, lvals), (hptr, hrows, hvals) = lo, hi
     per = lptr[hrows + 1] - lptr[hrows]
-    at = _ragged(lptr[hrows], per)
-    n = int(lrows.max()) + 1 if lrows.size else 1
-    key, inv = np.unique(np.repeat(np.repeat(np.arange(len(hptr) - 1), np.diff(hptr)), per) * n
-                         + lrows[at], return_inverse=True)
-    sums = np.bincount(inv, np.repeat(hvals, per) * lvals[at] % p).astype(np.int64) % p
-    return key[sums != 0] % n, key[sums != 0] // n, sums[sums != 0]
+    col = np.repeat(np.arange(len(hptr) - 1), np.diff(hptr))
+    before = np.concatenate(([0], np.cumsum(per)))[hptr]  # terms before each column
+    n, cut, out = int(lrows.max()) + 1 if lrows.size else 1, 0, [np.zeros((3, 0), np.int64)]
+    while cut < len(hptr) - 1:
+        end = max(cut + 1, int(np.searchsorted(before, before[cut] + PRODUCT_SLICE, "right")) - 1)
+        s = slice(hptr[cut], hptr[end])
+        at = _ragged(lptr[hrows[s]], per[s])
+        key, inv = np.unique(np.repeat(col[s], per[s]) * n + lrows[at], return_inverse=True)
+        sums = np.bincount(inv, np.repeat(hvals[s], per[s]) * lvals[at] % p).astype(np.int64) % p
+        out.append(np.array([key % n, key // n, sums])[:, sums != 0])
+        cut = end
+    return tuple(np.concatenate(out, axis=1))
 
 
 def _find(tier: np.ndarray, queries: np.ndarray, size: int) -> np.ndarray:
@@ -303,9 +316,9 @@ def _find(tier: np.ndarray, queries: np.ndarray, size: int) -> np.ndarray:
 
 def _bar_diff(st: _SplitBasis, src: np.ndarray, tgt: np.ndarray) -> tuple:
     """d from the tuples src (i algebra indices, then a module index) to the
-    tuples tgt by compressed columns: each term, in column col, is (-1)^s
-    times a term of the product of neighbours s, s + 1.  The terms of one
-    column differ in the degree or value of the merged factor: no row repeats."""
+    tuples tgt by compressed rows, columns ascending: each term, in column
+    col, is (-1)^s times a term of the product of neighbours s, s + 1.  The
+    terms of one column differ in the merged factor: no row repeats."""
     code = (src[:, :-1] * st.size + src[:, 1:]).ravel()
     first, end = (np.searchsorted(st.code, code, side) for side in ("left", "right"))
     terms = _ragged(first, end - first)
@@ -315,20 +328,19 @@ def _bar_diff(st: _SplitBasis, src: np.ndarray, tgt: np.ndarray) -> tuple:
     merged[np.arange(len(s)), s] = st.gs[terms]
     rows = _find(tgt, merged, st.size)
     vals = st.coefs[terms] * (1 - 2 * (s % 2)) % st.p
-    return _compress(rows[rows >= 0], col[rows >= 0], vals[rows >= 0], len(src))
+    return _compress(col[rows >= 0], rows[rows >= 0], vals[rows >= 0], len(tgt))
 
 
-def _top_down_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
-    """The greatest-index pivots of each d_i = diffs[i - 1], top-down, skipping d_i's
-    columns at the pivots of d_(i+1): exact given d^2=0, as the module docstring shows."""
+def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
+    """The pivots of d_i = diffs[i - 1]'s rows, bottom-up: exact given d^2=0 (module docstring)."""
     out = [set()]
-    for ptr, rows, vals in reversed(diffs):
+    for ptr, cols, vals in diffs:
         keep = np.diff(ptr) > 0
         keep[list(out[-1])] = False
-        pairs, starts = list(zip(rows.tolist(), vals.tolist())), ptr[:-1][keep].tolist()
-        out.append(gf.dict_pivots(
-            (pairs[a:b] for a, b in zip(starts, ptr[1:][keep].tolist())), p))
-    return out[:0:-1]
+        rows = np.flatnonzero(keep)
+        lead = np.argsort(cols[ptr[rows + 1] - 1], kind="stable")
+        out.append(gf.dict_pivots(_stream(ptr, cols, vals, rows[lead].tolist()), p))
+    return out[1:]
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
@@ -356,11 +368,11 @@ def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
         weight.append(np.repeat(bn, [len(b) for b in ts]))
     diffs = [_bar_diff(st, tiers[i], tiers[i - 1]) for i in range(1, top + 1)]
     for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
-        if (cols := _product(lo, hi, st.p)[1]).size:
+        if (rows := _product(hi, lo, st.p)[0]).size:  # (d_i d_(i+1))^T, rows in tier i + 1
             raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, "
-                                 f"j={degree[i + 1][cols].min()})")
+                                 f"j={degree[i + 1][rows].min()})")
     ranks = [0] + [np.bincount(degree[i][list(piv)], weight[i][list(piv)], minlength=j_max + 1)
-                   for i, piv in enumerate(_top_down_pivots(diffs, st.p))]
+                   for i, piv in enumerate(_bottom_up_pivots(diffs, st.p), 1)]
     for i in range(top):
         h = np.bincount(degree[i], weight[i], minlength=j_max + 1) - ranks[i] - ranks[i + 1]
         dims.update({(i, j): int(h[j]) for j in np.flatnonzero(h).tolist()})
@@ -429,11 +441,10 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
     for i in range(i_max + 1):
         vblocks, reps = [], {}
         for j in sorted(kernels):
-            # A_1 K_(j-1) as {index: value} columns, one generator's block at
-            # a time, so that no matrix holds all of it at once
-            span = (dict(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
-                    for g in range(a.num_generators if j - 1 in kernels else 0)
-                    for col in layout.act(1, g, j - 1, kernels[j - 1].T).T)
+            # A_1 K_(j-1) by columns, one generator's block at a time: no matrix holds it all
+            span = (v for g in range(a.num_generators if j - 1 in kernels else 0)
+                    for img in [layout.act(1, g, j - 1, kernels[j - 1].T).T]
+                    for v in _stream(*_compress(*np.nonzero(img)[::-1], img[img != 0], len(img))))
             taken = gf.dict_pivots(span, p)
             ker = kernels[j]
             last = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
@@ -611,6 +622,7 @@ def resolution_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
 
 
 DENSE_BAR_LIMIT = 4000
+PRODUCT_SLICE = 2 ** 15  # terms of a d^2=0 product held at once, a bound on its memory
 ENGINES = ("auto", "bar", "resolution", "koszul")
 
 

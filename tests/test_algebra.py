@@ -201,6 +201,26 @@ class TestProductCore:
                 for d in range(self.N_MAX + 1 - n):
                     assert (m.action_matrix(d, n) == a.mult_matrix(d, n)).all()
 
+    def test_augmentation_action_reads_the_product_only_over_a(self, expanded):
+        # over A the action on A_+ is A's own product array, built once; over
+        # the free cover it is built apart, and is A's product after the
+        # projection of each cover basis vector to A_d
+        for _, a in expanded:
+            lam = free_algebra(a.fld, a.mode, a.order, self.N_MAX)
+            over_a, over_lam = augmentation_module(a, a), augmentation_module(a, lam)
+            l = a.fld.l
+            for n in range(1, self.N_MAX + 1):
+                for d in range(1, self.N_MAX + 1 - n):
+                    assert over_a.action_matrix(d, n) is a.mult_matrix(d, n)
+                    got = over_lam.action_matrix(d, n)
+                    assert got is not a.mult_matrix(d, n) and got is not lam.mult_matrix(d, n)
+                    words, coords = lam.word_basis(d)
+                    proj = (coords @ np.array([a.monomial_value(w) for w in words],
+                                              dtype=np.int64).reshape(len(words), a.dims[d])) % l
+                    mult = a.mult_matrix(d, n).reshape(a.dims[n + d], a.dims[d], a.dims[n])
+                    want = np.einsum("rue,iu->rie", mult, proj) % l
+                    assert (got == want.reshape(got.shape)).all()
+
 
 class TestAugmentationModule:
     def test_self_cover(self):

@@ -619,19 +619,52 @@ def _random_complex(rng: np.random.Generator, p: int) -> list[np.ndarray]:
 class TestBarArrays:
     """The array kernels of the bar against loop references."""
 
-    def test_top_down_pivots_match_independent_elimination(self):
+    def test_bottom_up_pivots_match_independent_elimination(self):
         # exact on complexes with d^2 = 0: the pivots of every d_i equal the
-        # greatest-index pivots of all its columns, so the ranks agree too
+        # greatest-index pivots of all its rows, so the ranks agree too
         rng = np.random.default_rng(17)
         for p in (2, 3, 5, 7) * 50:
             diffs = _random_complex(rng, p)
             assert not any(((lo @ hi) % p).any() for lo, hi in zip(diffs, diffs[1:]))
-            got = homology._top_down_pivots([_cols(d) for d in diffs], p)
+            got = homology._bottom_up_pivots([_cols(d.T) for d in diffs], p)
             for d, piv in zip(diffs, got):
-                columns = [{r: int(d[r, c]) for r in np.flatnonzero(d[:, c])}
-                           for c in range(d.shape[1])]
-                assert piv == gf.dict_pivots(columns, p)
+                rows = [{c: int(d[r, c]) for c in np.flatnonzero(d[r])}
+                        for r in range(d.shape[0])]
+                assert piv == gf.dict_pivots(rows, p)
                 assert len(piv) == gf.rank(d, p)
+
+    def test_zero_reductions_count_the_off_diagonal(self, monkeypatch):
+        # the bar's call i of dict_pivots streams rows of tier i - 1, and for a
+        # module generated in degree 1 the rows that reduce to zero number
+        # the off-diagonal entries H_{i-1,j}, j >= i + 1, of the table
+        calls = []
+        pivots = gf.dict_pivots
+
+        def counted(vectors, p):
+            vectors = list(vectors)
+            got = pivots(vectors, p)
+            calls.append(len(vectors) - len(got))
+            return got
+
+        monkeypatch.setattr(gf, "dict_pivots", counted)
+        rng = np.random.default_rng(37)
+        off = 0
+        for k in range(300):
+            n, l = int(rng.integers(2, 5)), int(rng.choice((2, 3, 5, 7)))
+            mode = (SymmetryMode.COMMUTATIVE, SymmetryMode.SUPERCOMMUTATIVE)[k % 2]
+            a = degreewise_expand(random_presentation(random.Random(f"zero:{k}"), l, mode, n,
+                                                      int(rng.integers(1, n + 1))), 4)
+            c = rng.integers(0, l, size=n)
+            c[rng.integers(n)] = 1
+            for m in (augmentation_module(a, a), ideal_module(a, c)):
+                assert not homology._monomial(a, m)
+                calls.clear()
+                dims = bar_tor_module(a, m, 4, 4).dims
+                assert len(calls) == 4
+                for i, zero in enumerate(calls, 1):
+                    assert zero == sum(h for (t, j), h in dims.items() if t == i - 1 and j > i)
+                off += any(calls)
+        assert off >= 60  # of the 600 tables, some with off-diagonal homology
 
     def test_product_matches_dict_reference(self):
         rng = np.random.default_rng(23)
@@ -647,6 +680,19 @@ class TestBarArrays:
             rows, cols, vals = homology._product(_cols(lo), _cols(hi), p)
             assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == \
                 {k: v for k, v in want.items() if v}
+
+    def test_product_slices_give_the_whole_product(self, monkeypatch):
+        # a slice below one column's terms makes every column its own slice
+        rng = np.random.default_rng(41)
+        for p in (2, 3, 5, 65521) * 10:
+            n0, n1, n2 = rng.integers(0, 30, size=3)
+            lo, hi = (rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+                      for shape in ((n0, n1), (n1, n2)))
+            whole = homology._product(_cols(lo), _cols(hi), p)
+            for cap in (1, 5, 40):
+                monkeypatch.setattr(homology, "PRODUCT_SLICE", cap)
+                got = homology._product(_cols(lo), _cols(hi), p)
+                assert all((x == y).all() for x, y in zip(got, whole))
 
     def test_product_catches_one_corrupted_entry(self):
         # adding 1 at (k, c) of d_(i+1) adds column k of d_i to column c of
@@ -697,19 +743,20 @@ def _dense(d, nrows: int) -> np.ndarray:
     return out
 
 
-def _plus_one(d, r: int, nrows: int, p: int):
-    """d with 1 added to its entry (r, 0) mod p."""
-    dense = _dense(d, nrows)
+def _plus_one(d, r: int, ncols: int, p: int):
+    """d, given by compressed rows, with 1 added to its entry (r, 0) mod p."""
+    dense = _dense(d, ncols).T
     dense[r, 0] = (dense[r, 0] + 1) % p
-    cols, rows = np.nonzero(dense.T)
-    return homology._compress(rows, cols, dense[rows, cols], dense.shape[1])
+    return _cols(dense.T)
 
 
 def _live_row(d, lower) -> int:
-    """A row r of column 0 of d whose column of lower is nonzero: 1 added at
-    (r, 0) makes lower @ d nonzero in column 0, within column 0's block."""
-    ptr, rows, _ = d
-    return next(r for r in rows[ptr[0]:ptr[1]].tolist() if lower[0][r + 1] > lower[0][r])
+    """A row r of column 0 of d whose column of lower is nonzero, both given
+    by compressed rows: 1 added at (r, 0) makes lower @ d nonzero in column
+    0, within column 0's block."""
+    ptr, cols, _ = d
+    live = set(lower[1].tolist())
+    return next(r for r in range(len(ptr) - 1) if r in live and 0 in cols[ptr[r]:ptr[r + 1]])
 
 
 class TestCorruptedDifferential:
@@ -733,7 +780,7 @@ class TestCorruptedDifferential:
             # d_2 is empty below it, so column 0 and row r have degree 3
             d = build(st, src, tgt)
             if len(src) and src.shape[1] == 3:
-                d = _plus_one(d, _live_row(d, previous["d"]), len(tgt), st.p)
+                d = _plus_one(d, _live_row(d, previous["d"]), len(src), st.p)
             previous["d"] = d
             return d
 
@@ -754,7 +801,7 @@ class TestCorruptedDifferential:
             # of column 0 of d_2
             d = build(st, src, tgt)
             if len(src) and src.shape[1] == 3:
-                d = _plus_one(d, _live_row(d, previous["d"]), len(tgt), st.p)
+                d = _plus_one(d, _live_row(d, previous["d"]), len(src), st.p)
             previous["d"] = d
             return d
 

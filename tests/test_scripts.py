@@ -1,5 +1,7 @@
 """Smoke tests: the scripts under scripts/ run to completion."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +27,50 @@ def test_sweep_graphs():
 def test_run_models():
     r = run_script("run_models.py", "--bound", "3")
     assert r.returncode == 0, r.stderr
+
+
+def bench_pairs():
+    """scripts/bench_pairs.py as a module; nothing is run."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(parent: list[float], change: list[float]) -> list[dict]:
+    return [{"workload": "w", "seed": seed, "side": side, "position": 1,
+             "result": {"metrics": {"m": {"value": value}}}}
+            for seed, pair in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), pair)]
+
+
+class TestBenchPairs:
+    def test_summary_reproduces_a_committed_bench_file(self):
+        bp = bench_pairs()
+        bench = json.loads((ROOT / "BENCH_17.json").read_text())
+        better = {m["name"]: m["better"]
+                  for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        summary = bp.summarize(bench["runs"], better)
+        assert summary == bench["summary"]
+        assert bp.claim(summary, "dense-tor", "instances_per_s", "higher") == bench["claim"]
+
+    def test_claim_rule(self):
+        bp = bench_pairs()
+        parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # IQR 4.5
+        wins_9 = [p + 6 for p in parent[:9]] + [parent[9] - 1]
+        s = bp.summarize(_runs(parent, wins_9), {"m": "higher"})["w"]["m"]
+        assert (s["change_better_pairs"], s["pairs"]) == (9, 10)
+        assert s["parent"] == {"median": 14.5, "q1": 12.25, "q3": 16.75}
+        assert bp.claim({"w": {"m": s}}, "w", "m", "higher")["met"]
+        # 8 of 10 pairs won is too few, whatever the medians
+        wins_8 = [p + 20 for p in parent[:8]] + [p - 1 for p in parent[8:]]
+        s = bp.summarize(_runs(parent, wins_8), {"m": "higher"})
+        assert not bp.claim(s, "w", "m", "higher")["met"]
+        # every pair won, but by less than the parent's IQR
+        s = bp.summarize(_runs(parent, [p + 4 for p in parent]), {"m": "higher"})
+        assert s["w"]["m"]["change_better_pairs"] == 10
+        assert not bp.claim(s, "w", "m", "higher")["met"]
+        # lower is better: the same numbers read the other way round
+        s = bp.summarize(_runs([p + 6 for p in parent], parent), {"m": "lower"})
+        assert bp.claim(s, "w", "m", "lower")["met"]
+        assert not bp.claim(s, "w", "m", "higher")["met"]
