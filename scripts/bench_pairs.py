@@ -5,12 +5,19 @@ Each commit is exported with `git archive` into its own directory, and
 `benchmark/run.py` runs there once per workload and seed, the two sides
 alternating which goes first (the parent first at even pair indices).  The
 runs, a summary of every end-to-end metric (median and quartiles of each
-side, and the pairs the change won) and, with --claim, the verdict of the
-claim rule are written as one JSON file:
+side, and the pairs the change won), the no-regression verdict of every
+workload and metric and, with --claim, the verdict of the claim rule are
+written as one JSON file.  The claim rule:
 
 * the change must win at least 9 in 10 of the pairs, and
 * its median must be better than the parent's by more than the parent's
   interquartile range (IQR).
+
+The no-regression verdict compares the relative change of the medians with
+the metric's `bound` in BENCHMARK.json: `unresolved` where the parent's IQR
+is more than the bound of its median, so that the runs spread too widely
+to tell, else `worse` where the change's median is worse by more than the
+bound, else `ok`.
 
 Usage, from the root of a checkout:
 
@@ -78,6 +85,25 @@ def claim(summary: dict, workload: str, metric: str, better: str) -> dict:
             "met": 10 * s["change_better_pairs"] >= 9 * s["pairs"] and gain > iqr}
 
 
+def no_regression(summary: dict, end_to_end: list[dict]) -> dict:
+    """For each workload and end-to-end metric of BENCHMARK.json: the
+    relative change of the medians, (change - parent) / parent, against the
+    metric's bound, and its status (module docstring)."""
+    out: dict = {}
+    for w, metrics in summary.items():
+        out[w] = {}
+        for m in end_to_end:
+            parent, change = metrics[m["name"]]["parent"], metrics[m["name"]]["change"]
+            rel = (change["median"] - parent["median"]) / parent["median"]
+            spread = (parent["q3"] - parent["q1"]) / parent["median"]
+            worse = rel if m["better"] == "lower" else -rel
+            status = "unresolved" if spread > m["bound"] else \
+                "worse" if worse > m["bound"] else "ok"
+            out[w][m["name"]] = {"relative_change": rel, "bound": m["bound"],
+                                 "parent_iqr_relative": spread, "status": status}
+    return out
+
+
 def export(rev: str, where: Path) -> str:
     """The files of `rev` under `where`; returns the full commit id."""
     where.mkdir(parents=True)
@@ -137,6 +163,9 @@ def main() -> int:
         workload, metric = args.claim.split(":")
         out["claim"] = claim(summary, workload, metric, better[metric])
         print(json.dumps(out["claim"]), file=sys.stderr)
+    out["no_regression"] = no_regression(summary, bench["end_to_end"])
+    for w, metrics in out["no_regression"].items():
+        print(w, json.dumps({m: v["status"] for m, v in metrics.items()}), file=sys.stderr)
     out.update(summary=summary, runs=runs)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0

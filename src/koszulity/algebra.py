@@ -234,11 +234,6 @@ class DegreewiseAlgebra:
     def num_generators(self) -> int:
         return len(self.order)
 
-    def apply_generator(self, g: int, n: int, vec: np.ndarray) -> np.ndarray:
-        if n == 0:
-            return (np.eye(self.num_generators, dtype=np.int64)[g] * int(vec[0])) % self.fld.l
-        return (self.gen_action[n][g] @ vec) % self.fld.l
-
     def monomial_value(self, mono: Monomial) -> np.ndarray:
         """Value of a generator-word monomial in A_(deg mono)."""
         word = mono.word()
@@ -246,10 +241,8 @@ class DegreewiseAlgebra:
             return np.ones(1, dtype=np.int64)
         v = np.zeros(self.dims[1], dtype=np.int64)
         v[word[-1]] = 1
-        d = 1
-        for g in reversed(word[:-1]):
-            v = self.apply_generator(g, d, v)
-            d += 1
+        for d, g in enumerate(reversed(word[:-1]), 1):
+            v = (self.gen_action[d][g] @ v) % self.fld.l
         return v
 
     def word_basis(self, n: int) -> tuple[list[Monomial], np.ndarray]:

@@ -26,8 +26,10 @@ Three engines compute the same module table:
   because the algebras here are generated in degree 1, so minimal
   generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1}:
   the kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1});
-* the Koszul complex M (x) Gamma, for modules over a free exterior algebra,
-  checked by the same product and ranked by `gf.sparse_rank`.
+* the Koszul complex M (x) Gamma, for modules over a free exterior algebra:
+  tier i is M_e (x) Gamma_i for every e >= 1, each basis vector tagged with
+  its degree e + i, and each d is built for all degrees at once by
+  compressed rows.  `_complex_table` checks and ranks it as it does the bar.
 
 `tor_module`'s `auto` rule, the only one, picks the bar complex when A and M
 are monomial or the largest unsplit bar term has at most DENSE_BAR_LIMIT
@@ -279,22 +281,24 @@ def _ragged(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _product(lo: tuple, hi: tuple, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, values) of the nonzero entries of lo @ hi mod p, the full product, exactly,
-    over slices of hi's columns of at most PRODUCT_SLICE terms (or one column): keyed by
-    col * (rows of lo) + row, and summed in float64 from terms reduced mod p (below 2^37)."""
+    over slices of hi's columns of at most PRODUCT_SLICE terms (or one column; one if all fit):
+    keyed by col * (rows of lo) + row, and summed in float64 from terms reduced mod p (< 2^37)."""
     (lptr, lrows, lvals), (hptr, hrows, hvals) = lo, hi
     per = lptr[hrows + 1] - lptr[hrows]
-    col = np.repeat(np.arange(len(hptr) - 1), np.diff(hptr))
-    before = np.concatenate(([0], np.cumsum(per)))[hptr]  # terms before each column
-    n, cut, out = int(lrows.max()) + 1 if lrows.size else 1, 0, [np.zeros((3, 0), np.int64)]
-    while cut < len(hptr) - 1:
-        end = max(cut + 1, int(np.searchsorted(before, before[cut] + PRODUCT_SLICE, "right")) - 1)
+    n, ncols, cut = int(lrows.max()) + 1 if lrows.size else 1, len(hptr) - 1, 0
+    out = [(np.zeros(0, np.int64),) * 3]  # then one (rows, cols, values) per slice
+    before = np.concatenate(([0], np.cumsum(per)))[hptr] if per.sum() > PRODUCT_SLICE else None
+    while cut < ncols:
+        end = ncols if before is None else \
+            max(cut + 1, int(np.searchsorted(before, before[cut] + PRODUCT_SLICE, "right")) - 1)
         s = slice(hptr[cut], hptr[end])
         at = _ragged(lptr[hrows[s]], per[s])
-        key, inv = np.unique(np.repeat(col[s], per[s]) * n + lrows[at], return_inverse=True)
+        col = np.repeat(np.arange(cut, end), np.diff(hptr[cut:end + 1]))
+        key, inv = np.unique(np.repeat(col, per[s]) * n + lrows[at], return_inverse=True)
         sums = np.bincount(inv, np.repeat(hvals[s], per[s]) * lvals[at] % p).astype(np.int64) % p
-        out.append(np.array([key % n, key // n, sums])[:, sums != 0])
+        out.append((key[sums != 0] % n, key[sums != 0] // n, sums[sums != 0]))
         cut = end
-    return tuple(np.concatenate(out, axis=1))
+    return out[1] if len(out) == 2 else tuple(map(np.concatenate, zip(*out)))
 
 
 def _find(tier: np.ndarray, queries: np.ndarray, size: int) -> np.ndarray:
@@ -352,7 +356,7 @@ def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
     keys = _BlockKeys(st) if st.mono is not None else None
     keys = keys if keys and keys.exact() else None
     reach = _reachable(st, i_max, j_max)
-    top, blocks, memo, dims = min(i_max + 1, j_max), {}, {}, {}
+    top, blocks, memo = min(i_max + 1, j_max), {}, {}
     for j in range(1, j_max + 1):
         for mu in set().union(*(reach.get((i, j), ()) for i in range(min(i_max + 1, j) + 1))):
             blocks.setdefault((j, keys(mu) if keys else mu), [j, mu, 0])[2] += 1
@@ -367,13 +371,24 @@ def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
         degree.append(np.repeat(bj, [len(b) for b in ts]))
         weight.append(np.repeat(bn, [len(b) for b in ts]))
     diffs = [_bar_diff(st, tiers[i], tiers[i - 1]) for i in range(1, top + 1)]
+    return _complex_table("bar differential", diffs, degree, weight, st.p, j_max)
+
+
+def _complex_table(what: str, diffs: list[tuple], degree: list[np.ndarray],
+                   weight: list[np.ndarray], p: int, j_max: int) -> dict[tuple[int, int], int]:
+    """The homology of a complex stacked by tiers: diffs[i - 1] is d_i by
+    compressed rows, from tier i to tier i - 1, and degree[i] and weight[i]
+    tag each basis vector of tier i with its degree j <= j_max and the
+    number of basis vectors it stands for.  Every d^2=0 check runs before
+    any rank; a failure names what, the least i, then the least j."""
     for i, (lo, hi) in enumerate(zip(diffs, diffs[1:]), 1):
-        if (rows := _product(hi, lo, st.p)[0]).size:  # (d_i d_(i+1))^T, rows in tier i + 1
-            raise AssertionError(f"bar differential fails d^2=0 at (i={i + 1}, "
+        if (rows := _product(hi, lo, p)[0]).size:  # (d_i d_(i+1))^T, rows in tier i + 1
+            raise AssertionError(f"{what} fails d^2=0 at (i={i + 1}, "
                                  f"j={degree[i + 1][rows].min()})")
     ranks = [0] + [np.bincount(degree[i][list(piv)], weight[i][list(piv)], minlength=j_max + 1)
-                   for i, piv in enumerate(_bottom_up_pivots(diffs, st.p), 1)]
-    for i in range(top):
+                   for i, piv in enumerate(_bottom_up_pivots(diffs, p), 1)]
+    dims = {}
+    for i in range(len(diffs)):
         h = np.bincount(degree[i], weight[i], minlength=j_max + 1) - ranks[i] - ranks[i + 1]
         dims.update({(i, j): int(h[j]) for j in np.flatnonzero(h).tolist()})
     return dims
@@ -486,42 +501,42 @@ def is_free_exterior(a: DegreewiseAlgebra) -> bool:
         all(a.dims[d] == comb(n, d) for d in range(a.n_max + 1))
 
 
-def _contractions(lam: DegreewiseAlgebra, i: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+def _contractions(lam: DegreewiseAlgebra, i: int) -> tuple[int, int, np.ndarray]:
     """Gamma_i and Gamma_(i-1), with the degree-i and degree-(i-1) monomials
     in the dual variables as bases, each an ascending tuple of variables:
-    their sizes, and a triple (column, g, row) for each monomial of Gamma_i
-    and each variable g in it, the row being the monomial's contraction by g
-    in Gamma_(i-1)."""
+    their sizes, and a triple (g, column, row) for each monomial of Gamma_i
+    (the column) and each variable g in it, the row being the monomial's
+    contraction by g in Gamma_(i-1), as the rows of an array in order of g."""
     gens = range(lam.num_generators)
     src = list(itertools.combinations_with_replacement(gens, i))
     tgt_pos = {w: k for k, w in enumerate(itertools.combinations_with_replacement(gens, i - 1))}
-    triples = [(col, g, tgt_pos[w[:k] + w[k + 1:]])
-               for col, w in enumerate(src) for k, g in enumerate(w)
-               if k == 0 or w[k - 1] != g]
-    return len(src), len(tgt_pos), triples
+    triples = sorted((g, col, tgt_pos[w[:k] + w[k + 1:]])
+                     for col, w in enumerate(src) for k, g in enumerate(w)
+                     if k == 0 or w[k - 1] != g)
+    return len(src), len(tgt_pos), np.array(triples, dtype=np.int64).reshape(-1, 3)
 
 
-def _koszul_complex_diff(lam: DegreewiseAlgebra, m: ModuleTruncation, i: int, j: int,
-                         gamma: tuple[int, int, list[tuple[int, int, int]]]) -> gf.SparseMatrixGF:
-    """d: M_{j-i} (x) Gamma_i  ->  M_{j-i+1} (x) Gamma_{i-1} for the Cartan
-    resolution of k over the free exterior algebra; gamma is
-    `_contractions(lam, i)`.  d contracts one variable of the Gamma_i factor,
-    multiplying the module element by the matching generator."""
-    p = lam.fld.l
+def _koszul_diff(lam: DegreewiseAlgebra, m: ModuleTruncation, i: int, j_max: int,
+                 gamma: tuple) -> tuple:
+    """d_i of M (x) Gamma by compressed rows, columns ascending: tier i is M_e (x) Gamma_i for
+    e = 1, ..., j_max - i in turn, x (x) w at x * |Gamma_i| + w in its block, and d_i takes
+    x (x) w to the sum over the variables g of w of (g x) (x) (w / g), contracting one variable
+    of the Gamma_i factor; gamma is `_contractions(lam, i)`."""
     n_src, n_tgt, triples = gamma
-    src_md, tgt_md = j - i, j - i + 1
-    sd = m.dims[src_md] if 0 <= src_md <= m.n_max else 0
-    td = m.dims[tgt_md] if 0 <= tgt_md <= m.n_max else 0
-    entries = []
-    if sd and td:
-        acted = []
-        for g in range(lam.num_generators):
-            mat = m.action[src_md][g] % p
-            ti, si = np.nonzero(mat)
-            acted.append(list(zip(ti.tolist(), si.tolist(), mat[ti, si].tolist())))
-        for bcol, g, lower in triples:
-            entries += [(ti * n_tgt + lower, si * n_src + bcol, v) for ti, si, v in acted[g]]
-    return gf.SparseMatrixGF(lam.fld, td * n_tgt, sd * n_src, tuple(entries))
+    p, gens = lam.fld.l, lam.num_generators
+    first = np.searchsorted(triples[:, 0], np.arange(gens))
+    count = np.bincount(triples[:, 0], minlength=gens)
+    terms = [np.zeros((3, 0), dtype=np.int64)]
+    for e in range(1, j_max - i + 1):
+        act = np.reshape(m.action[e], (gens, m.dims[e + 1], m.dims[e])) % p
+        g, y, x = np.nonzero(act)
+        at, k = _ragged(first[g], count[g]), count[g]
+        terms.append(np.array([(sum(m.dims[1:e]) + np.repeat(x, k)) * n_src + triples[at, 1],
+                               (sum(m.dims[1:e + 1]) + np.repeat(y, k)) * n_tgt + triples[at, 2],
+                               np.repeat(act[g, y, x], k)]))
+    src, tgt, vals = np.concatenate(terms, axis=1)
+    order = np.argsort(src, kind="stable")
+    return _compress(src[order], tgt[order], vals[order], sum(m.dims[1:j_max - i + 2]) * n_tgt)
 
 
 def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
@@ -531,24 +546,13 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
         raise ValueError("the Koszul-complex engine needs a free exterior cover")
     if j_max > lam.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
-    p = lam.fld.l
-    gammas = {i: _contractions(lam, i) for i in range(1, min(i_max, j_max - 1) + 2)}
-    dims: dict[tuple[int, int], int] = {}
-    for j in range(1, j_max + 1):
-        top = min(i_max, j - 1)
-        diffs = [_koszul_complex_diff(lam, m, i, j, gammas[i]) for i in range(1, top + 2)]
-        cols = [_compress(e[:, 0], e[:, 1], e[:, 2] % p, d.cols) for d in diffs
-                for e in [np.array(d.entries, dtype=np.int64).reshape(-1, 3)]]
-        for i, (lo, hi) in enumerate(zip(cols, cols[1:]), 1):
-            if _product(lo, hi, p)[2].size:
-                raise AssertionError(f"Koszul complex fails d^2=0 at (i={i + 1}, j={j})")
-        ranks = [0] + [gf.sparse_rank(dmat) for dmat in diffs]
-        for i in range(top + 1):
-            # diffs[i] = d_(i+1) has the i-th term M_(j-i) (x) Gamma_i as target
-            h = diffs[i].rows - ranks[i] - ranks[i + 1]
-            if h:
-                dims[(i, j)] = h
-    return TorTable(TorKind.MODULE, i_max, j_max, dims)
+    top = min(i_max + 1, j_max)
+    gammas = [_contractions(lam, i) for i in range(1, top + 1)]
+    degree = [np.repeat(np.arange(i, j_max + 1), np.array(m.dims[:j_max + 1 - i]) * size)
+              for i, size in enumerate([1] + [gamma[0] for gamma in gammas])]
+    diffs = [_koszul_diff(lam, m, i, j_max, gammas[i - 1]) for i in range(1, top + 1)]
+    return TorTable(TorKind.MODULE, i_max, j_max, _complex_table(
+        "Koszul complex", diffs, degree, [np.ones_like(d) for d in degree], lam.fld.l, j_max))
 
 
 # ----------------------------------------------------------------- drivers

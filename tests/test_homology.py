@@ -205,10 +205,10 @@ class TestEngineAgreement:
                 assert not a.monomial
                 lam = exterior_algebra(n, l=l, n_max=4)
                 m = augmentation_module(a, lam)
-                assert any(max(d.rows, d.cols) > 64
-                           for j in range(1, 5) for i in range(1, j + 1)
-                           for d in [homology._koszul_complex_diff(
-                               lam, m, i, j, homology._contractions(lam, i))])
+                assert any(max(len(d[0]) - 1, d[1].max(initial=-1) + 1) > 64
+                           for i in range(1, 5)
+                           for d in [homology._koszul_diff(
+                               lam, m, i, 4, homology._contractions(lam, i))])
                 assert bar_tor_module(lam, m, 4, 4).dims == \
                     koszul_tor_module(lam, m, 4, 4).dims, (l, n)
 
@@ -527,6 +527,48 @@ class TestResolutionAudit:
             bar_tor_module(a, m, i_max, j_max).dims
 
 
+@st.composite
+def exterior_cover_modules(draw):
+    """A module over the free exterior algebra on n <= 5 generators, mod
+    l in {2, 3, 5, 7}, and a window (i_max, j_max) <= (4, 4): A_+ of a
+    non-monomial supercommutative quotient, A_+ of the cover itself, or the
+    ideal (c) of the cover for a random nonzero c in degree 1."""
+    l = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, 5))
+    j_max = draw(st.integers(1, 4))
+    lam = exterior_algebra(n, l=l, n_max=4)
+    kind = draw(st.sampled_from(("quotient", "cover", "ideal")))
+    if kind == "quotient":
+        order = gen_order(n)
+        nq = len(normal_monomials(order, 2, SymmetryMode.SUPERCOMMUTATIVE))
+        relations = draw(st.lists(st.lists(st.integers(0, l - 1), min_size=nq, max_size=nq),
+                                  min_size=1, max_size=nq))
+        a = degreewise_expand(QuadraticPresentation(
+            PrimeField(l), SymmetryMode.SUPERCOMMUTATIVE, order,
+            np.array(relations, dtype=np.int64)), 4)
+        assume(not a.monomial)
+        m = augmentation_module(a, lam)
+    elif kind == "cover":
+        m = augmentation_module(lam, lam)
+    else:
+        m = ideal_module(lam, draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)
+                                   .filter(any).map(np.array)))
+    return lam, m, draw(st.integers(0, 4)), j_max
+
+
+class TestKoszulAudit:
+    """Property-based audit of the Koszul complex, and of the engine `auto`
+    picks, against the bar complex over a free exterior cover."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exterior_cover_modules())
+    def test_exterior_cover_modules(self, case):
+        lam, m, i_max, j_max = case
+        bar = bar_tor_module(lam, m, i_max, j_max).dims
+        assert koszul_tor_module(lam, m, i_max, j_max).dims == bar
+        assert tor_module(lam, m, i_max, j_max, engine="auto").dims == bar
+
+
 class TestInvariants:
     def test_pbw_soundness(self):
         """Quadratic presentations certified by the PBW criterion must have a
@@ -665,6 +707,27 @@ class TestBarArrays:
                     assert zero == sum(h for (t, j), h in dims.items() if t == i - 1 and j > i)
                 off += any(calls)
         assert off >= 60  # of the 600 tables, some with off-diagonal homology
+
+    def test_differentials_have_ascending_columns_in_each_row(self, monkeypatch):
+        # the order `_bottom_up_pivots` counts on for its cost: rows streamed
+        # by ascending last column, the first with each is a pivot at once
+        built = []
+        for name in ("_bar_diff", "_koszul_diff"):
+            monkeypatch.setattr(homology, name, lambda *args, build=getattr(homology, name):
+                                built.append(build(*args)) or built[-1])
+        for l in (2, 3, 5):
+            lam = exterior_algebra(4, l=l, n_max=4)
+            a = degreewise_expand(random_presentation(
+                random.Random(f"rows:{l}"), l, SymmetryMode.SUPERCOMMUTATIVE, 4, 2), 4)
+            assert not a.monomial
+            for m in (augmentation_module(a, lam), augmentation_module(lam, lam),
+                      ideal_module(lam, np.arange(1, 5) % l)):
+                bar_tor_module(lam, m, 4, 4)
+                koszul_tor_module(lam, m, 4, 4)
+            bar_tor_algebra(graph_algebra(cycle_graph(4), PrimeField(l), n_max=4), 4, 4)
+        assert len(built) == 3 * (3 * 8 + 4)
+        for ptr, cols, _ in built:
+            assert all((np.diff(cols[a:b]) > 0).all() for a, b in zip(ptr[:-1], ptr[1:]))
 
     def test_product_matches_dict_reference(self):
         rng = np.random.default_rng(23)
@@ -813,24 +876,23 @@ class TestCorruptedDifferential:
     def test_koszul_complex(self, monkeypatch):
         lam = exterior_algebra(3, l=3, n_max=3)
         m = augmentation_module(lam, lam)
-        build = homology._koszul_complex_diff
+        build = homology._koszul_diff
+        previous = {}
 
-        def corrupted(lam, m, i, j, gamma):
-            # change entry (r, 0) of d_2 in degree 3, for r a row of d_2
-            # that indexes a nonzero column of d_1
-            d = build(lam, m, i, j, gamma)
-            if i == 2 and j == 3:
-                d_1 = build(lam, m, 1, j, homology._contractions(lam, 1))
-                r = next(k for k, col in enumerate(d_1.columns()) if col)
-                p = d.field.l
-                v = (d.columns()[0].get(r, 0) + 1) % p
-                entries = [e for e in d.entries if e[:2] != (r, 0)]
-                entries += [(r, 0, v)] if v else []
-                d = gf.SparseMatrixGF(d.field, d.rows, d.cols, tuple(entries))
+        def corrupted(lam, m, i, j_max, gamma):
+            # change entry (r, 0) of d_2, column 0 being M_1 (x) Gamma_2's
+            # first, of degree 3, for r the last row of d_2 that indexes a
+            # nonzero column of d_1, the differential built just before d_2:
+            # that row lies in the last block of tier 1, of degree 3 too
+            d = build(lam, m, i, j_max, gamma)
+            if i == 2:
+                d = _plus_one(d, int(previous["d"][1].max()),
+                              gamma[0] * sum(m.dims[1:j_max - 1]), lam.fld.l)
+            previous["d"] = d
             return d
 
         koszul_tor_module(lam, m, 3, 3)
-        monkeypatch.setattr(homology, "_koszul_complex_diff", corrupted)
+        monkeypatch.setattr(homology, "_koszul_diff", corrupted)
         with pytest.raises(AssertionError, match=r"d\^2=0 at \(i=2, j=3\)"):
             koszul_tor_module(lam, m, 3, 3)
 

@@ -54,6 +54,28 @@ class TestBenchPairs:
         assert summary == bench["summary"]
         assert bp.claim(summary, "dense-tor", "instances_per_s", "higher") == bench["claim"]
 
+    def test_no_regression(self):
+        bp = bench_pairs()
+
+        def verdict(parent, factor, better):
+            s = bp.summarize(_runs(parent, [p * factor for p in parent]), {"m": better})
+            return bp.no_regression(s, [{"name": "m", "better": better, "bound": 0.25}])["w"]["m"]
+
+        tight = [100.0 + k for k in range(10)]  # IQR 4.5, 4.3% of the median 104.5
+        got = verdict(tight, 0.8, "higher")
+        assert got["status"] == "ok" and got["bound"] == 0.25
+        assert abs(got["relative_change"] + 0.2) < 1e-12
+        assert abs(got["parent_iqr_relative"] - 4.5 / 104.5) < 1e-12
+        assert verdict(tight, 0.7, "higher")["status"] == "worse"
+        assert verdict(tight, 1.3, "higher")["status"] == "ok"
+        assert verdict(tight, 1.3, "lower")["status"] == "worse"
+        assert verdict(tight, 0.7, "lower")["status"] == "ok"
+        # an IQR of 4.5 about a median of 14.5 is 31%, wider than the bound:
+        # the runs cannot tell, however far the medians move
+        wide = [10.0 + k for k in range(10)]
+        assert verdict(wide, 0.5, "higher")["status"] == "unresolved"
+        assert verdict(wide, 1.0, "lower")["status"] == "unresolved"
+
     def test_claim_rule(self):
         bp = bench_pairs()
         parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # IQR 4.5
