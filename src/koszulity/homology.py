@@ -21,11 +21,11 @@ Three engines compute the same module table:
   rows k < l, so of those outside L.  The first row per last column is a
   pivot at once; H_{i-1,j} less the empty rows outside L reduce to 0, for M
   generated in degree 1 only off-diagonal ones.  Blocks share no rows;
-* a minimal free resolution built degree by degree, where Tor_{i,j} is read
-  off as the number of degree-j generators of the i-th syzygy module (valid
-  because the algebras here are generated in degree 1, so minimal
-  generators are computed by the graded Nakayama rule (A_+ K)_j = A_1 K_{j-1}:
-  the kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1});
+* a minimal free resolution built degree by degree: Tor_{i,j} is the number
+  of degree-j minimal generators of the i-th syzygy module K, by the graded
+  Nakayama rule (A_+ K)_j = A_1 K_{j-1} (A is generated in degree 1): the
+  kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1}.
+  Its products are `_product`s of action tables, its kernels `gf.nullspace`;
 * the Koszul complex M (x) Gamma, for modules over a free exterior algebra:
   tier i is M_e (x) Gamma_i for every e >= 1, each basis vector tagged with
   its degree e + i, and each d is built for all degrees at once by
@@ -402,40 +402,41 @@ class _Layout:
     (internal degree e, dimension) blocks and B = A, or B = M with V = k:
     dims are B's, and product is `mult_matrix` or `action_matrix`."""
 
-    def __init__(self, dims: list[int], product, vblocks: list[tuple[int, int]], p: int):
-        self.dims, self.product, self.vblocks, self.p = dims, product, vblocks, p
+    def __init__(self, dims: list[int], product, vblocks: list[tuple[int, int]]):
+        self.dims, self.product, self.vblocks, self.tables = dims, product, vblocks, {}
 
     def blocks(self, j: int) -> list[tuple[int, int, int]]:
         """(e, vdim, offset) for each summand B_(j-e) (x) V_e."""
         out, off = [], 0
         for e, vd in self.vblocks:
-            d = j - e
-            if 0 <= d < len(self.dims) and self.dims[d] and vd:
+            if 0 <= j - e < len(self.dims) and self.dims[j - e] and vd:
                 out.append((e, vd, off))
-                off += self.dims[d] * vd
+                off += self.dims[j - e] * vd
         return out
 
     def dim(self, j: int) -> int:
         return sum(self.dims[j - e] * vd for e, vd, _ in self.blocks(j))
 
-    def act(self, d: int, u: int, j: int, vecs: np.ndarray) -> np.ndarray:
-        """(basis vector u of A_d) * each column of vecs, degree j to j+d."""
-        dims, p = self.dims, self.p
-        if d == 0:
-            return vecs % p
-        k = vecs.shape[1]
-        out = np.zeros((self.dim(j + d), k), dtype=np.int64)
-        tgt = {e: off for e, _, off in self.blocks(j + d)}
-        for e, vd, off in self.blocks(j):
-            dp = j - e
-            if e not in tgt:
-                continue
-            # rows of a block are (B_dp basis, V_e basis) pairs
-            sub = vecs[off:off + dims[dp] * vd].reshape(dims[dp], vd * k)
-            mult = self.product(d, dp)[:, u * dims[dp]:(u + 1) * dims[dp]]
-            res = ((mult @ sub) % p).reshape(-1, k)
-            out[tgt[e]:tgt[e] + res.shape[0]] = res
-        return out
+    def table(self, d: int, j: int) -> tuple:
+        """A_d on degree j by compressed rows, built once: row x = b (x) v holds
+        u x = (u b) (x) v for each basis vector u of A_d, at u * dim(j + d) + its index."""
+        if (d, j) not in self.tables:
+            size, tgt = self.dim(j + d), {e: off for e, _, off in self.blocks(j + d)}
+            terms = [np.zeros((3, 0), dtype=np.int64)]
+            for e, vd, off in (block for block in self.blocks(j) if block[0] in tgt):
+                mat, v = self.product(d, j - e), np.arange(vd)
+                rows, cols = np.nonzero(mat)
+                u, b = np.divmod(cols, self.dims[j - e])
+                terms.append(np.array([np.add.outer(u * size + tgt[e] + rows * vd, v).ravel(),
+                                       np.add.outer(off + b * vd, v).ravel(),
+                                       np.repeat(mat[rows, cols], vd)]))
+            self.tables[(d, j)] = _compress(*np.concatenate(terms, axis=1), self.dim(j))
+        return self.tables[(d, j)]
+
+
+def _by_rows(mat: np.ndarray) -> tuple:
+    """A dense matrix by compressed rows, columns ascending."""
+    return _compress(*np.nonzero(mat)[::-1], mat[mat != 0], len(mat))
 
 
 def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
@@ -450,38 +451,35 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
     a basis of K_j / A_1 K_(j-1): they are taken as V_(i,j)."""
     p = a.fld.l
     dims: dict[tuple[int, int], int] = {}
-    layout = _Layout(m.dims, m.action_matrix, [(0, 1)], p)
+    layout = _Layout(m.dims, m.action_matrix, [(0, 1)])
     kernels = {j: np.eye(m.dims[j], dtype=np.int64)
                for j in range(1, j_max + 1) if m.dims[j]}
     for i in range(i_max + 1):
         vblocks, reps = [], {}
         for j in sorted(kernels):
-            # A_1 K_(j-1) by columns, one generator's block at a time: no matrix holds it all
-            span = (v for g in range(a.num_generators if j - 1 in kernels else 0)
-                    for img in [layout.act(1, g, j - 1, kernels[j - 1].T).T]
-                    for v in _stream(*_compress(*np.nonzero(img)[::-1], img[img != 0], len(img))))
-            taken = gf.dict_pivots(span, p)
-            ker = kernels[j]
+            ker, taken = kernels[j], set()
+            if j - 1 in kernels:  # A_1 K_(j-1), one vector per (generator, kernel vector)
+                n = len(kernels[j - 1])
+                code, k, vals = _product(layout.table(1, j - 1), _by_rows(kernels[j - 1]), p)
+                g, y = np.divmod(code, ker.shape[1])
+                taken = gf.dict_pivots(_stream(*_compress(y, g * n + k, vals, a.dims[1] * n)), p)
             last = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
             rep = ker[[c not in taken for c in last.tolist()]]
             if len(rep):
                 vblocks.append((j, len(rep)))
-                reps[j] = rep
+                reps[j] = _by_rows(rep)
                 dims[(i, j)] = len(rep)
         if i == i_max or not vblocks:
             break
-        # K_(i+1) = kernel of F_i = A (x) V_i -> F_(i-1), degree by degree
-        new_layout = _Layout(a.dims, a.mult_matrix, vblocks, p)
+        # K_(i+1) = ker F_i -> F_(i-1) by degrees, F_i = A (x) V_i with u (x) v at off + u * vd + v
+        new_layout = _Layout(a.dims, a.mult_matrix, vblocks)
         kernels = {}
         for j in range(1, j_max + 1):
-            cols = new_layout.dim(j)
-            if cols == 0:
-                continue
-            phi = np.zeros((layout.dim(j), cols), dtype=np.int64)
+            phi = np.zeros((layout.dim(j), new_layout.dim(j)), dtype=np.int64)
             for e, vd, off in new_layout.blocks(j):
-                d = j - e
-                for u in range(a.dims[d]):
-                    phi[:, off + u * vd:off + (u + 1) * vd] = layout.act(d, u, e, reps[e].T)
+                code, v, vals = _product(layout.table(j - e, e), reps[e], p)
+                u, y = np.divmod(code, len(phi))
+                phi[y, off + u * vd + v] = vals
             ker = gf.nullspace(phi, p)
             if ker.shape[0]:
                 kernels[j] = ker
@@ -547,7 +545,9 @@ def koszul_tor_module(lam: DegreewiseAlgebra, m: ModuleTruncation,
     if j_max > lam.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
     top = min(i_max + 1, j_max)
-    gammas = [_contractions(lam, i) for i in range(1, top + 1)]
+    gammas = [_contractions(lam, i) for i in range(1, min(top, j_max - 1) + 1)]
+    if top == j_max > 0:  # tier j_max is empty: d_(j_max) needs only |Gamma_(j_max - 1)|
+        gammas.append((0, gammas[-1][0] if gammas else 1, np.zeros((0, 3), dtype=np.int64)))
     degree = [np.repeat(np.arange(i, j_max + 1), np.array(m.dims[:j_max + 1 - i]) * size)
               for i, size in enumerate([1] + [gamma[0] for gamma in gammas])]
     diffs = [_koszul_diff(lam, m, i, j_max, gammas[i - 1]) for i in range(1, top + 1)]
@@ -583,14 +583,13 @@ def bar_tor_module(a: DegreewiseAlgebra, m: ModuleTruncation,
 
 def _euler_fill(a: DegreewiseAlgebra, m: ModuleTruncation,
                 i_top: int, j_max: int, dims: dict[tuple[int, int], int]) -> None:
-    """Fill the single missing entry (i_top, j_max) from the per-degree Euler
-    characteristic of the reduced bar complex: the alternating sums of term
-    dimensions (combinatorial) and of homology dimensions agree in each
-    internal degree, and every other entry in degree j_max is known.  The
+    """Fill the single missing entry (i_top, j_max) from the Euler
+    characteristic in degree j_max, [t^j] h_M(t) / h_A(t) (that of the
+    reduced bar complex's terms, by the alternating sum of their
+    dimensions), as every other entry in degree j_max is known.  The
     entry is defined by that identity, so the identity certifies nothing
     there; only the bar complex can audit it."""
-    sizes = _bar_term_dims(a, m, j_max)
-    chi = sum((-1) ** i * sizes[i] for i in range(i_top + 1))
+    chi = _series_quotient(m.dims, a.dims, j_max)[j_max]
     known = sum((-1) ** i * dims.get((i, j_max), 0) for i in range(i_top))
     h = (-1) ** i_top * (chi - known)
     if h < 0:
@@ -658,7 +657,12 @@ def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int
     multidegree split) or the largest unsplit bar term in the window has at
     most DENSE_BAR_LIMIT basis vectors; else the Koszul complex when A is a
     free exterior algebra; else the resolution.  Rows with i > j_max are zero
-    by degree, so the table stops at min(i_max, j_max)."""
+    by degree, so the table stops at min(i_max, j_max).
+
+    Every table is certified at run time: sum_i (-1)^i dim Tor_{i,j} =
+    [t^j] h_M(t) / h_A(t), the alternating ranks of a minimal free resolution
+    (Polishchuk, Positselski, "Quadratic Algebras", 2005), for every
+    j <= min(i_max + 1, j_max); a violation raises AssertionError naming j."""
     _check_engine(engine)
     if j_max > a.n_max or j_max > m.n_max:
         raise ValueError("j_max exceeds the truncation")
@@ -672,4 +676,21 @@ def tor_module(a: DegreewiseAlgebra, m: ModuleTruncation, i_max: int, j_max: int
             engine = "resolution"
     run = {"bar": bar_tor_module, "resolution": resolution_tor_module,
            "koszul": koszul_tor_module}[engine]
-    return run(a, m, i_max, j_max)
+    table = run(a, m, i_max, j_max)
+    # the Euler certificate, in every degree j whose i the window holds all of
+    # (Tor_{i,j} = 0 for i >= j, M_0 being 0); it says nothing about the
+    # resolution's Euler-filled entry, which the identity defines
+    expect = _series_quotient(m.dims, a.dims, j_max)
+    for j in range(min(i_max + 1, j_max) + 1):
+        if sum((-1) ** i * table.entry(i, j) for i in range(j + 1)) != expect[j]:
+            raise AssertionError(f"Tor table fails the Euler characteristic at j={j}")
+    return table
+
+
+def _series_quotient(num: list[int], den: list[int], n: int) -> list[int]:
+    """Coefficients of num(t) / den(t) through t^n, for den[0] = 1."""
+    q = []
+    for j in range(n + 1):
+        c = num[j] if j < len(num) else 0
+        q.append(c - sum(q[k] * den[j - k] for k in range(j)))
+    return q

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from koszulity import cli
+from koszulity import cli, homology
 from koszulity.cli import main
 
 EXIT_OK, EXIT_NON_KOSZUL, EXIT_INPUT, EXIT_DISAGREE, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -342,6 +342,24 @@ def test_internal_error_exits_4(capsys, tmp_path, monkeypatch, command):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error:")
     assert "d^2=0" in lines[0] and "Traceback" not in err
+
+
+def test_euler_certificate_failure_exits_4(capsys, tmp_path, monkeypatch):
+    """An engine whose table is off by one at Tor_{1,2}(k, A_+) fails the
+    run-time Euler certificate in degree 2."""
+    bar = homology.bar_tor_module
+
+    def off_by_one(*args):
+        t = bar(*args)
+        t.dims[(1, 2)] = t.entry(1, 2) + 1
+        return t
+
+    monkeypatch.setattr(homology, "bar_tor_module", off_by_one)
+    path = write_json(tmp_path, "p.json", exterior2_presentation())
+    code, out, err = run(capsys, "check", path)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "internal error: AssertionError: " \
+        "Tor table fails the Euler characteristic at j=2\n"
 
 
 def drop_last_image(obj):

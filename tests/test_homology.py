@@ -20,10 +20,12 @@ from koszulity.gf import PrimeField
 from koszulity.graded import (MonomialTruncation, associated_graded,
                               monomial_algebra, pbw_verdict)
 from koszulity.graphs import QuadGraph, all_graphs, cycle_graph, graph_algebra
-from koszulity.homology import (TorKind, TorTable, bar_tor_algebra,
-                                bar_tor_module, is_free_exterior, koszul_scan,
-                                koszul_tor_module, resolution_tor_algebra,
-                                resolution_tor_module, tor_algebra, tor_module)
+from koszulity.homology import (TorKind, TorTable, _series_quotient,
+                                bar_tor_algebra, bar_tor_module, is_free_exterior,
+                                koszul_scan, koszul_tor_module,
+                                resolution_tor_algebra, resolution_tor_module,
+                                tor_algebra, tor_module)
+from koszulity.models import build_global_symplectic, datum_to_algebra
 from koszulity.monomials import GeneratorOrder, Monomial, divisors_degree
 
 from conftest import (exterior_algebra, gen_order, polynomial_algebra,
@@ -568,6 +570,126 @@ class TestKoszulAudit:
         assert koszul_tor_module(lam, m, i_max, j_max).dims == bar
         assert tor_module(lam, m, i_max, j_max, engine="auto").dims == bar
 
+    def test_no_contractions_for_the_empty_top_tier(self, monkeypatch):
+        """Tier j_max is empty, so Gamma_(j_max) is never built; W3 (the
+        9-generator global symplectic module at (5, 6)) keeps its table."""
+        calls, contractions = [], homology._contractions
+        monkeypatch.setattr(homology, "_contractions",
+                            lambda lam, i: calls.append(i) or contractions(lam, i))
+        d, order = build_global_symplectic(3, (2, 2), l=3, seed=0)
+        lam = free_algebra(d.fld, SymmetryMode.SUPERCOMMUTATIVE, order, 6)
+        m = augmentation_module(datum_to_algebra(d, 6), lam)
+        assert koszul_tor_module(lam, m, 5, 6).dims == {
+            (0, 1): 9, (1, 2): 73, (2, 3): 333, (3, 4): 1125, (4, 5): 3135, (5, 6): 7623}
+        assert calls == [1, 2, 3, 4, 5]
+        lam = exterior_algebra(3, l=5, n_max=4)
+        m = augmentation_module(lam, lam)
+        for j_max in range(5):
+            for i_max in range(5):
+                calls.clear()
+                assert koszul_tor_module(lam, m, i_max, j_max).dims == \
+                    bar_tor_module(lam, m, i_max, j_max).dims
+                assert calls == list(range(1, min(i_max + 1, j_max - 1) + 1))
+
+
+class TestEulerCertificate:
+    """`tor_module` certifies sum_i (-1)^i dim Tor_{i,j} = [t^j] h_M / h_A
+    in every degree j <= min(i_max + 1, j_max)."""
+
+    @staticmethod
+    def _off_by_one(monkeypatch, engine: str, i: int, j: int) -> None:
+        run = getattr(homology, f"{engine}_tor_module")
+
+        def patched(*args):
+            t = run(*args)
+            t.dims[(i, j)] = t.entry(i, j) + 1
+            return t
+
+        monkeypatch.setattr(homology, f"{engine}_tor_module", patched)
+
+    @pytest.mark.parametrize("engine", ["bar", "resolution", "koszul"])
+    def test_entry_off_by_one_raises_naming_j(self, monkeypatch, engine):
+        lam = exterior_algebra(3, l=3, n_max=4)
+        m = augmentation_module(lam, lam)
+        for j in range(1, 5):
+            with monkeypatch.context() as mp:
+                self._off_by_one(mp, engine, j - 1, j)
+                with pytest.raises(AssertionError,
+                                   match=f"fails the Euler characteristic at j={j}$"):
+                    tor_module(lam, m, 4, 4, engine=engine)
+        assert tor_module(lam, m, 4, 4, engine=engine).entry(3, 4) == 15
+
+    def test_degrees_the_window_cuts_are_not_checked(self, monkeypatch):
+        lam = exterior_algebra(3, l=3, n_max=4)
+        m = augmentation_module(lam, lam)
+        self._off_by_one(monkeypatch, "bar", 1, 4)  # j = 4 > i_max + 1
+        assert tor_module(lam, m, 1, 4, engine="bar").entry(1, 4) == 1
+        self._off_by_one(monkeypatch, "bar", 1, 2)
+        with pytest.raises(AssertionError, match="at j=2$"):
+            tor_module(lam, m, 1, 4, engine="bar")
+
+
+def _dense_action(dims, product, vblocks, d: int, u: int, j: int) -> np.ndarray:
+    """Basis vector u of A_d from degree j to degree j + d of B (x) V, for B
+    with dims and product: the blocks of `product(d, j - e)` that u picks,
+    each tensored with the identity of V_e, placed at the summands'
+    offsets."""
+    def offsets(deg):
+        out, off = {}, 0
+        for e, vd in vblocks:
+            size = dims[deg - e] * vd if 0 <= deg - e < len(dims) else 0
+            out[e], off = (off, size), off + size
+        return out, off
+
+    (src, n_src), (tgt, n_tgt) = offsets(j), offsets(j + d)
+    out = np.zeros((n_tgt, n_src), dtype=np.int64)
+    for e, vd in vblocks:
+        (s0, s1), (t0, t1) = src[e], tgt[e]
+        if s1 and t1:
+            k = dims[j - e]
+            block = product(d, j - e)[:, u * k:(u + 1) * k]
+            out[t0:t0 + t1, s0:s0 + s1] = np.kron(block, np.eye(vd, dtype=np.int64))
+    return out
+
+
+class TestResolutionActionTable:
+    """The resolution's action tables: sparse images of random vectors equal
+    the dense images built from `mult_matrix`/`action_matrix` blocks."""
+
+    @pytest.mark.parametrize("slice_terms", [None, 1, 7])
+    def test_images_match_dense_reference(self, monkeypatch, slice_terms):
+        if slice_terms is not None:
+            monkeypatch.setattr(homology, "PRODUCT_SLICE", slice_terms)
+        rng, nrng = random.Random(211), np.random.default_rng(211)
+        checked = 0
+        for l in (2, 3, 5, 7):
+            for _ in range(3):
+                n = rng.randrange(1, 4)
+                a = degreewise_expand(random_presentation(
+                    rng, l, rng.choice(list(SymmetryMode)), n, rng.randrange(3)), 4)
+                vblocks = [(e, rng.randrange(1, 4)) for e in sorted(rng.sample(range(3), 2))]
+                m = ideal_module(a, np.eye(n, dtype=np.int64)[0])
+                for dims, product, vb in ((a.dims, a.mult_matrix, vblocks),
+                                          (m.dims, m.action_matrix, [(0, 1)])):
+                    layout = homology._Layout(dims, product, vb)
+                    for d in range(4):
+                        for j in range(5 - d):
+                            dense = [_dense_action(dims, product, vb, d, u, j)
+                                     for u in range(a.dims[d])]
+                            assert all(x.shape == (layout.dim(j + d), layout.dim(j))
+                                       for x in dense)
+                            vecs = nrng.integers(0, l, (rng.randrange(1, 6), layout.dim(j)))
+                            vecs *= nrng.random(vecs.shape) < 0.5
+                            code, k, vals = homology._product(
+                                layout.table(d, j), homology._by_rows(vecs), l)
+                            got = np.zeros((len(vecs), a.dims[d] * layout.dim(j + d)), np.int64)
+                            got[k, code] = vals
+                            want = np.concatenate([vecs @ x.T % l for x in dense]
+                                                  + [got[:, :0]], axis=1)
+                            assert (got == want).all(), (l, d, j)
+                            checked += bool(vals.size)
+        assert checked >= 100
+
 
 class TestInvariants:
     def test_pbw_soundness(self):
@@ -628,15 +750,6 @@ class TestInvariants:
             if d:
                 assert i <= j
         assert t.entry(0, 0) == 1
-
-
-def _series_quotient(num, den, n):
-    """Coefficients of num(t) / den(t) through t^n, for den[0] = 1."""
-    q = []
-    for j in range(n + 1):
-        c = num[j] if j < len(num) else 0
-        q.append(c - sum(q[k] * den[j - k] for k in range(j)))
-    return q
 
 
 def _cols(dense: np.ndarray):
@@ -949,3 +1062,33 @@ def test_bar_tables_pinned():
     assert len(tables) == 488
     text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BAR_TABLES_SHA256
+
+
+# sha256 of pinned_resolution_tables(), recorded before the resolution's
+# products were taken as sparse products of action tables
+RESOLUTION_TABLES_SHA256 = "7e6655ee3967324a2326c0df018650cca381049a6598667207631152667b0499"
+
+
+def pinned_resolution_tables() -> list:
+    """The resolution's tables on 362 seeded cases: the 360 dense-shape
+    presentations of `pinned_bar_tables`, and the 9-generator global
+    symplectic algebra (3 places, outside (2, 2), l = 3) of seeds 0 and 1
+    at bound 4."""
+    tables = []
+    for k, (n, r, mode, l) in enumerate(DENSE_SHAPES):
+        for seed in range(60):
+            bound = 5 if seed % 12 == 0 else 4
+            rng = random.Random(f"dense:{k}:{seed}")
+            a = degreewise_expand(random_presentation(rng, l, mode, n, r), bound)
+            tables.append(tor_algebra(a, bound, bound, engine="resolution").to_json())
+    for seed in (0, 1):
+        d, _ = build_global_symplectic(3, (2, 2), l=3, seed=seed)
+        tables.append(tor_algebra(datum_to_algebra(d, 4), 4, 4, engine="resolution").to_json())
+    return tables
+
+
+def test_resolution_tables_pinned():
+    tables = pinned_resolution_tables()
+    assert len(tables) == 362
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == RESOLUTION_TABLES_SHA256
