@@ -47,12 +47,34 @@ def free_product(a: Monomial, b: Monomial, mode: SymmetryMode, p: int) -> tuple[
     return 1, mono_mul(a, b)
 
 
+def _normal_forms(rows, p: int) -> dict[int, dict[int, int]]:
+    """Normal forms modulo the span of rows, {index: value} dicts over
+    monomials indexed in invlex order: {lead: form} for every greatest-index
+    pivot of the span (`gf.dict_pivots`), the form over the standard
+    indices, those that lead nothing.  Leads are taken in ascending order,
+    and each pivot vector rewrites its lower entries through the forms
+    already found, so e_lead = form mod the span.  Exact in Python ints."""
+    forms: dict[int, dict[int, int]] = {}
+    for lead, (inv, vec) in sorted(gf.dict_pivots(rows, p).items()):
+        form: dict[int, int] = {}
+        for k, x in vec.items():
+            if k != lead:
+                for j, y in forms.get(k, {k: 1}).items():
+                    form[j] = (form.get(j, 0) - inv * x * y) % p
+        forms[lead] = {j: y for j, y in form.items() if y}
+    return forms
+
+
 @dataclass
 class QuadraticPresentation:
     """Quadratic algebra: generators plus degree-2 relations.
 
-    Relations are linear combinations of normal quadratic monomials, kept in
-    reduced row echelon form with pivots on the invlex-largest monomials.
+    Relations are linear combinations of normal quadratic monomials, kept
+    reduced: row r is e_lead minus the normal form of its lead monomial,
+    greatest lead first, with leads on the invlex-largest monomials.
+    `component(n)` takes I_n's rows m * r sparsely into `gf.dict_pivots`,
+    as F4 does: the standard monomials, those that lead no element of I_n,
+    are the basis of A_n, and the others are rewritten by their normal forms.
     """
 
     fld: PrimeField
@@ -61,16 +83,19 @@ class QuadraticPresentation:
     relations: np.ndarray = None  # shape (num_relations, num_quadratics)
 
     def __post_init__(self) -> None:
-        quad = normal_monomials(self.order, 2, self.mode)
-        self._quad = quad
-        nq = len(quad)
-        if self.relations is None:
-            self.relations = np.zeros((0, nq), dtype=np.int64)
-        rel = gf.as_array(self.relations, self.fld.l) if np.size(self.relations) else \
-            np.zeros((0, nq), dtype=np.int64)
+        self._quad = normal_monomials(self.order, 2, self.mode)
+        nq = len(self._quad)
+        rel = np.zeros((0, nq), dtype=np.int64) if self.relations is None or \
+            not np.size(self.relations) else gf.as_array(self.relations, self.fld.l)
         if rel.shape[0] and rel.shape[1] != nq:
             raise ValueError("relation vectors must be indexed by normal quadratics")
-        self.relations = _echelon_descending(rel, self.fld.l)
+        forms = _normal_forms(({j: int(row[j]) for j in np.flatnonzero(row)} for row in rel),
+                              self.fld.l)
+        self.relations = np.zeros((len(forms), nq), dtype=np.int64)
+        for row, lead in zip(self.relations, sorted(forms, reverse=True)):
+            row[lead] = 1
+            for j, y in forms[lead].items():
+                row[j] = -y % self.fld.l
 
     @property
     def quadratic_monomials(self) -> list[Monomial]:
@@ -88,70 +113,25 @@ class QuadraticPresentation:
                 rel[r, idx[m]] = c % fld.l
         return cls(fld, mode, order, rel)
 
-    def relation_span(self, n: int) -> np.ndarray:
-        """Degree-n span of the relation ideal, as rows over normal monomials."""
-        monos = normal_monomials(self.order, n, self.mode)
+    def component(self, n: int) -> tuple[list[Monomial], list[int], dict[int, dict[int, int]]]:
+        """The normal monomials of degree n, the indices of the standard
+        ones (the basis of A_n), and the normal forms of the others."""
+        p, monos = self.fld.l, normal_monomials(self.order, n, self.mode)
         idx = {m: i for i, m in enumerate(monos)}
-        if n < 2 or not self.relations.shape[0]:
-            return np.zeros((0, len(monos)), dtype=np.int64)
-        lower = normal_monomials(self.order, n - 2, self.mode)
-        rows = []
-        for m in lower:
-            for rel in self.relations:
-                row = np.zeros(len(monos), dtype=np.int64)
-                for j, coef in enumerate(rel):
-                    if coef:
-                        sign, prod = free_product(m, self._quad[j], self.mode, self.fld.l)
-                        if prod is not None:
-                            row[idx[prod]] = (row[idx[prod]] + sign * coef) % self.fld.l
-                if row.any():
-                    rows.append(row)
-        if not rows:
-            return np.zeros((0, len(monos)), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+        terms = [[(self._quad[j], int(row[j])) for j in np.flatnonzero(row)]
+                 for row in self.relations]
 
-    def component(self, n: int) -> "DegreeComponent":
-        """Basis of A_n (as normal monomials) plus the projection map."""
-        monos = normal_monomials(self.order, n, self.mode)
-        span = _echelon_descending(self.relation_span(n), self.fld.l)
-        return DegreeComponent.from_echelon(monos, span, self.fld.l)
+        def times(m: Monomial, rel) -> dict[int, int]:
+            row = {}
+            for q, c in rel:
+                sign, prod = free_product(m, q, self.mode, p)
+                if prod is not None:
+                    row[idx[prod]] = sign * c % p
+            return row
 
-
-def _echelon_descending(rows: np.ndarray, p: int) -> np.ndarray:
-    """RREF with column priority = descending invlex (pivots on largest monomials)."""
-    if rows.shape[0] == 0:
-        return rows
-    red, _ = gf.rref(rows[:, ::-1], p)
-    return red[:, ::-1]
-
-
-@dataclass
-class DegreeComponent:
-    monomials: list[Monomial]          # all normal monomials of the degree
-    basis: list[int]                   # indices of monomials forming the basis
-    projection: np.ndarray             # shape (len(monomials), dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def basis_monomials(self) -> list[Monomial]:
-        return [self.monomials[i] for i in self.basis]
-
-    @classmethod
-    def from_echelon(cls, monos, echelon: np.ndarray, p: int) -> "DegreeComponent":
-        """The echelon is reduced with pivots on the invlex-largest monomial
-        of each row, so every pivot column is zero in the other rows: a
-        pivot monomial is minus the rest of its row, in basis coordinates."""
-        nm = len(monos)
-        pivots = [int(np.flatnonzero(row)[-1]) for row in echelon]
-        pivset = set(pivots)
-        basis = [i for i in range(nm) if i not in pivset]
-        proj = np.zeros((nm, len(basis)), dtype=np.int64)
-        proj[basis, range(len(basis))] = 1
-        proj[pivots] = (-echelon[:, basis]) % p
-        return cls(list(monos), basis, proj)
+        lower = normal_monomials(self.order, n - 2, self.mode) if n >= 2 else []
+        forms = _normal_forms((times(m, rel) for m in lower for rel in terms), p)
+        return monos, [i for i in range(len(monos)) if i not in forms], forms
 
 
 def presentation_to_json(pres: QuadraticPresentation) -> dict:
@@ -320,25 +300,27 @@ def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     comps = [p.component(n) for n in range(n_max + 1)]
-    dims = [c.dim for c in comps]
-    ngen = len(p.order)
+    dims = [len(basis) for _, basis, _ in comps]
     gen_action: list[list[np.ndarray]] = []
     for n in range(n_max):
+        (lo, lo_basis, _), (hi, hi_basis, forms) = comps[n], comps[n + 1]
+        hi_idx = {m: i for i, m in enumerate(hi)}
+        pos = {i: k for k, i in enumerate(hi_basis)}
         mats = []
-        lo, hi = comps[n], comps[n + 1]
-        hi_idx = {m: i for i, m in enumerate(hi.monomials)}
-        for g in range(ngen):
-            mat = np.zeros((hi.dim, lo.dim), dtype=np.int64)
+        for g in range(len(p.order)):
+            mat = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
             xg = Monomial.generator(g)
-            for col, bi in enumerate(lo.basis):
-                sign, prod = free_product(xg, lo.monomials[bi], p.mode, p.fld.l)
+            for col, bi in enumerate(lo_basis):
+                sign, prod = free_product(xg, lo[bi], p.mode, p.fld.l)
                 if prod is not None:
-                    mat[:, col] = (sign * hi.projection[hi_idx[prod]]) % p.fld.l
+                    i = hi_idx[prod]
+                    for j, y in forms.get(i, {i: 1}).items():
+                        mat[pos[j], col] = sign * y % p.fld.l
             mats.append(mat)
         gen_action.append(mats)
     return DegreewiseAlgebra(
         p.fld, p.mode, p.order, n_max, dims, gen_action,
-        basis_monomials=[c.basis_monomials for c in comps],
+        basis_monomials=[[monos[i] for i in basis] for monos, basis, _ in comps],
     )
 
 

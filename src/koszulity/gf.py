@@ -3,9 +3,11 @@
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
 kernels, solving and inverses all read its result.  There is one sparse
-elimination, `dict_pivots`, on {index: value} vectors of Python ints: its
-greatest-index pivots give the bottom-up ranks of the bar and Koszul
-complexes and the resolution's generators.  `sparse_rank` counts them for
+elimination, `dict_pivots`, on {index: value} vectors of Python ints.  It
+returns its greatest-index pivots with their echelon vectors: the pivots
+give the bottom-up ranks of the bar and Koszul complexes and the
+resolution's generators, and the vectors give the degreewise expansion its
+standard monomials and normal forms.  `sparse_rank` counts the pivots for
 a `SparseMatrixGF`; nothing in the package calls it.  The model
 generators draw a random element of a row space with `random_combination`.
 
@@ -245,12 +247,15 @@ class SparseMatrixGF:
         return cols
 
 
-def dict_pivots(vectors, p: int) -> set[int]:
+def dict_pivots(vectors, p: int) -> dict[int, tuple[int, dict[int, int]]]:
     """The greatest-index pivots mod p of an iterable of vectors, {index:
     value} dicts or (index, value) pairs with no zeros stored: the last
     indices of an echelon basis of their span, where every nonzero vector of
-    the span ends.  Its callers are `_bottom_up_pivots`, which ranks the
-    bar and Koszul complexes, `sparse_rank`, and the resolution's generators.
+    the span ends.  Returned as {lead: (inverse of the lead value, vector)},
+    the vectors forming an echelon basis of the span.  Callers that count or
+    test membership read the keys: `_bottom_up_pivots`, which ranks the bar
+    and Koszul complexes, `sparse_rank`, and the resolution's generators.
+    The degreewise expansion reads the vectors, for normal forms mod I_n.
 
     Each vector is reduced against the pivots so far, keyed by their
     greatest index, until it is zero or a new pivot (at once for the first
@@ -278,7 +283,7 @@ def dict_pivots(vectors, p: int) -> set[int]:
                     v[k] = w
                 else:
                     del v[k]
-    return set(pivots)
+    return pivots
 
 
 def sparse_rank(m: SparseMatrixGF) -> int:

@@ -343,7 +343,8 @@ def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
         keep[list(out[-1])] = False
         rows = np.flatnonzero(keep)
         lead = np.argsort(cols[ptr[rows + 1] - 1], kind="stable")
-        out.append(gf.dict_pivots(_stream(ptr, cols, vals, rows[lead].tolist()), p))
+        # the keys alone, so that no tier's pivot vectors outlive its elimination
+        out.append(set(gf.dict_pivots(_stream(ptr, cols, vals, rows[lead].tolist()), p)))
     return out[1:]
 
 

@@ -1,7 +1,14 @@
 """Quadratic presentations, degreewise expansion, and module truncations."""
 
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,11 +19,77 @@ from koszulity.algebra import (QuadraticPresentation, SymmetryMode,
                                free_algebra, free_product, ideal_module,
                                normal_monomials, presentation_from_json,
                                presentation_to_json)
+from koszulity import gf
 from koszulity.gf import PrimeField, RowSpan
 from koszulity.monomials import Monomial, mono_enumerate
 
 from conftest import (exterior_algebra, gen_order, polynomial_algebra,
                       presentation_from_strings, random_presentation)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class DenseComponent(NamedTuple):
+    """The dense reference for `QuadraticPresentation.component`."""
+
+    monomials: list[Monomial]  # all normal monomials of the degree
+    basis: list[int]           # indices of the standard monomials
+    projection: np.ndarray     # shape (len(monomials), dim): each monomial in A_n
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def basis_monomials(self) -> list[Monomial]:
+        return [self.monomials[i] for i in self.basis]
+
+
+def relation_span(pres, n):
+    """Dense Macaulay matrix of I_n: a row m * r over the normal monomials for
+    each monomial m of degree n - 2 and relation r, zero rows dropped."""
+    monos = normal_monomials(pres.order, n, pres.mode)
+    idx = {m: i for i, m in enumerate(monos)}
+    rows = []
+    if n >= 2:
+        for m in normal_monomials(pres.order, n - 2, pres.mode):
+            for rel in pres.relations:
+                row = np.zeros(len(monos), dtype=np.int64)
+                for j in np.flatnonzero(rel):
+                    sign, prod = free_product(m, pres.quadratic_monomials[j], pres.mode, pres.fld.l)
+                    if prod is not None:
+                        row[idx[prod]] = (row[idx[prod]] + sign * rel[j]) % pres.fld.l
+                if row.any():
+                    rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(monos))
+
+
+def echelon_descending(rows, l):
+    """Dense rref with pivots on the greatest columns: rref of the reversed columns."""
+    return gf.rref(rows[:, ::-1], l)[0][:, ::-1] if len(rows) else rows
+
+
+def dense_component(pres, n) -> DenseComponent:
+    """Basis of A_n and the projection of every normal monomial, from the
+    dense elimination of the relation span.  Each echelon row is reduced
+    with its pivot on the invlex-largest monomial, so a pivot monomial is
+    minus the rest of its row, in basis coordinates."""
+    l, monos = pres.fld.l, normal_monomials(pres.order, n, pres.mode)
+    echelon = echelon_descending(relation_span(pres, n), l)
+    pivots = [int(np.flatnonzero(row)[-1]) for row in echelon]
+    basis = [i for i in range(len(monos)) if i not in pivots]
+    proj = np.zeros((len(monos), len(basis)), dtype=np.int64)
+    proj[basis, range(len(basis))] = 1
+    proj[pivots] = (-echelon[:, basis]) % l
+    return DenseComponent(monos, basis, proj)
+
+
+def component_dim(pres, n) -> int:
+    """dim A_n by the dense reference, after checking that the sparse
+    component has the same standard monomials."""
+    ref = dense_component(pres, n)
+    assert pres.component(n)[1] == ref.basis
+    return ref.dim
 
 
 def free_presentation(n, l, mode):
@@ -57,7 +130,7 @@ class TestPresentation:
 class TestComponent:
     def test_free_exterior_dim2(self):
         p = free_presentation(3, 2, SymmetryMode.SUPERCOMMUTATIVE)
-        assert p.component(2).dim == 3
+        assert component_dim(p, 2) == 3
 
     def test_milnor_two_generators(self):
         # x0 plays {-1}; the relation x0*x1 + x1^2 = 0 comes from {x,-x}=0
@@ -65,11 +138,28 @@ class TestComponent:
             2, SymmetryMode.COMMUTATIVE, ["x0", "x1"],
             [[(1, "x0*x1"), (1, "x1^2")], [(1, "x0^2")]])
         # degree-2 normal monomials: x0^2, x0*x1, x1^2; two independent relations
-        assert p.component(2).dim == 1
+        assert component_dim(p, 2) == 1
 
     def test_polynomial_one_generator(self):
         p = free_presentation(1, 2, SymmetryMode.COMMUTATIVE)
-        assert p.component(5).dim == 1
+        assert component_dim(p, 5) == 1
+
+    def test_normal_forms_match_dense_reference(self):
+        # the sparse normal forms are the rows of the dense projection, and
+        # the stored relations are their own dense reduced echelon form
+        for pres in product_core_cases():
+            l = pres.fld.l
+            assert (echelon_descending(pres.relations, l) == pres.relations).all()
+            for n in range(5):
+                ref = dense_component(pres, n)
+                monos, basis, forms = pres.component(n)
+                assert (monos, basis) == (ref.monomials, ref.basis)
+                proj = np.zeros_like(ref.projection)
+                proj[basis, range(len(basis))] = 1
+                for i, form in forms.items():
+                    for j, y in form.items():
+                        proj[i, basis.index(j)] = y
+                assert (proj == ref.projection).all(), (pres.relations, n)
 
 
 class TestDegreewiseExpand:
@@ -93,7 +183,7 @@ class TestDegreewiseExpand:
             p = random_presentation(rng, l, mode, 3, 2)
             a = degreewise_expand(p, 4)
             for n in range(5):
-                assert a.dims[n] == p.component(n).dim
+                assert a.dims[n] == dense_component(p, n).dim
 
     def test_dims_match_bruteforce_products(self):
         # independent check: span of all products of generator sequences
@@ -171,7 +261,7 @@ class TestProductCore:
     def test_mult_matrix_matches_normal_form(self, expanded):
         for pres, a in expanded:
             l = pres.fld.l
-            comps = [pres.component(n) for n in range(self.N_MAX + 1)]
+            comps = [dense_component(pres, n) for n in range(self.N_MAX + 1)]
             for d in range(self.N_MAX + 1):
                 for e in range(self.N_MAX + 1 - d):
                     hi = comps[d + e]
@@ -193,6 +283,12 @@ class TestProductCore:
                 values = np.array([a.monomial_value(w) for w in words],
                                   dtype=np.int64).reshape(len(words), a.dims[n])
                 assert ((coords @ values) % l == np.eye(a.dims[n], dtype=np.int64)).all()
+                # the survivors are the expansion's standard monomials, and
+                # their values are the unit vectors: a monomial leads an
+                # element of I_n exactly when its value lies in the span of
+                # the values of the smaller monomials
+                assert words == a.basis_monomials[n]
+                assert (coords == np.eye(a.dims[n], dtype=np.int64)).all()
 
     def test_augmentation_action_is_multiplication(self, expanded):
         for _, a in expanded:
@@ -295,3 +391,65 @@ def test_expand_dims_monotone_under_relations(seed, l, mode, n_gens, n_rels):
     free = degreewise_expand(free_presentation(n_gens, l, mode), 4)
     a = degreewise_expand(p, 4)
     assert all(a.dims[n] <= free.dims[n] for n in range(5))
+
+
+# sha256 of pinned_expansions(), recorded before the expansion moved from a
+# dense Macaulay matrix to the sparse elimination
+EXPANSION_SHA256 = "427daffab1289d286b8ef6f52f9ccb41e75097842c231ea50e22621b46e8f2f7"
+
+
+def pinned_presentations():
+    """480 seeded presentations: both modes, l in {2, 3, 5, 7} and n_max
+    2..5, 15 seeds each, with 2 to 5 generators (2 to 4 at n_max 5), 1 to
+    nq / 2 + 1 relations for nq normal quadratics, and about half of the
+    coefficients zero."""
+    for mode in SymmetryMode:
+        for l in (2, 3, 5, 7):
+            for n_max in range(2, 6):
+                for seed in range(15):
+                    rng = random.Random(f"expand:{mode.value}:{l}:{n_max}:{seed}")
+                    order = gen_order(rng.randint(2, 4 if n_max == 5 else 5))
+                    nq = len(normal_monomials(order, 2, mode))
+                    rows = [[rng.randrange(1, l) if rng.random() < 0.5 else 0 for _ in range(nq)]
+                            for _ in range(rng.randint(1, nq // 2 + 1))]
+                    rel = np.array(rows, dtype=np.int64).reshape(len(rows), nq)
+                    yield QuadraticPresentation(PrimeField(l), mode, order, rel), n_max
+
+
+def pinned_expansions() -> str:
+    """One sha256 over the dims, the reduced relations, every generator
+    action matrix and the basis monomials of each pinned presentation."""
+    h = hashlib.sha256()
+    for pres, n_max in pinned_presentations():
+        a = degreewise_expand(pres, n_max)
+        names = [[m.to_string(a.order) for m in ms] for ms in a.basis_monomials]
+        h.update(json.dumps([a.dims, pres.relations.shape, names]).encode())
+        h.update(pres.relations.astype(np.int64).tobytes())
+        for mats in a.gen_action:
+            for mat in mats:
+                h.update(mat.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_expansion_pinned():
+    assert sum(1 for _ in pinned_presentations()) == 480
+    assert pinned_expansions() == EXPANSION_SHA256
+
+
+def test_expansion_fits_in_one_gib():
+    # local symplectic D = 20 (h_A = 1 + 20t + t^2) through degree 4: the
+    # nonzero rows m*r of I_4 over its squarefree monomials make a dense
+    # 29214 x 4845 matrix, 1.05 GiB in int64, before an elimination copies it
+    cap = 1 << 30
+    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from koszulity.algebra import degreewise_expand\n"
+            "from koszulity.models import LocalCase, local_presentation\n"
+            "pres = local_presentation(LocalCase('symplectic', 20, 3))\n"
+            "print(degreewise_expand(pres, 4).dims)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert r.returncode == 0, r.stderr[-400:]
+    assert r.stdout.split("\n")[0] == "[1, 20, 1, 0, 0]"

@@ -204,7 +204,15 @@ def test_dict_pivots_are_last_columns_of_reduced_basis(seed, p, rows, cols, inne
     # rows of a reduced basis of the row space end
     a = _low_rank(seed, p, rows, cols, inner, zeros)
     expect = {cols - 1 - c for c in gf.rref(a[:, ::-1], p)[1]}
-    assert gf.dict_pivots(iter(_dicts(a)), p) == expect
+    pivots = gf.dict_pivots(iter(_dicts(a)), p)
+    assert pivots.keys() == expect
+    # each pivot vector ends at its key, with the inverse of its last value,
+    # and together they span the rows
+    basis = np.zeros((len(pivots), cols), dtype=np.int64)
+    for r, (lead, (inv, vec)) in enumerate(pivots.items()):
+        assert max(vec) == lead and inv * vec[lead] % p == 1
+        basis[r, list(vec)] = list(vec.values())
+    assert gf.rank(np.concatenate([basis, a]), p) == len(pivots)
 
 
 @settings(max_examples=80, deadline=None)

@@ -785,7 +785,7 @@ class TestBarArrays:
             for d, piv in zip(diffs, got):
                 rows = [{c: int(d[r, c]) for c in np.flatnonzero(d[r])}
                         for r in range(d.shape[0])]
-                assert piv == gf.dict_pivots(rows, p)
+                assert piv == gf.dict_pivots(rows, p).keys()
                 assert len(piv) == gf.rank(d, p)
 
     def test_zero_reductions_count_the_off_diagonal(self, monkeypatch):
