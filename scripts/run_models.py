@@ -46,6 +46,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--bound", type=int, default=4)
     args = ap.parse_args()
+    if args.bound < 0:
+        ap.error(f"--bound must be at least 0, not {args.bound}")
     seed, bound = args.seed, args.bound
     n_max = max(bound, 2)
 

@@ -25,8 +25,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--vertices", type=int, default=4)
     ap.add_argument("--bound", type=int, default=5,
-                    help="homology bound for i and j")
+                    help="homology bound for i and j, at least 2 (the relations are quadratic)")
     args = ap.parse_args()
+    if args.vertices < 0:
+        ap.error(f"--vertices must be at least 0, not {args.vertices}")
+    if args.bound < 2:
+        ap.error(f"--bound must be at least 2, not {args.bound}")
 
     fld = PrimeField(2)
     n, bound = args.vertices, args.bound

@@ -10,14 +10,19 @@ Three engines compute the same module table:
 
 * the bar complex on integer indices.  For monomial A and M, d keeps the
   multidegree, so the complex splits into tiny blocks, and blocks with one
-  `_BlockKeys` key are alike; otherwise each degree is one block.  The
-  tuples of the distinct blocks of all degrees are stacked as one int64
-  array per tier (`_find` codes them exactly, every code below 2^63),
-  each d is read off a table of product terms by compressed rows, and each
-  d^2=0 check is one exact sparse product, before any rank.  Ranks go
-  bottom-up: `gf.dict_pivots` gets d_i's nonempty rows outside the pivots L
-  of d_(i-1)'s rows, by ascending last column.  As d_i^T d_(i-1)^T = 0, each
-  l in L ends some w in im d_(i-1)^T in ker d_i^T: row l is a combination of
+  `_BlockKeys` key are alike; otherwise each degree is one block.  A tuple's
+  code, (degree, exponent vector) as an int64 row, adds over its factors.
+  `_bar_tiers` finds the codes each tier reaches, bottom up, and those it
+  needs, top down, then builds the needed tuples as arrays, each a in A_+
+  before its child code's tuples by a ragged join, in order of module
+  degree, then lexicographic.  Codes are exact at any number of variables:
+  `_find` tells rows apart, as it finds d's tuples, by codes it ranks before
+  they could reach 2^63.  Each tier is one int64 array, each d is read off
+  a table of product terms by compressed rows, and each d^2=0 check is one
+  exact sparse product, before any rank.  Ranks go bottom-up:
+  `gf.dict_pivots` gets d_i's nonempty rows outside the pivots L of
+  d_(i-1)'s rows, by ascending last column.  As d_i^T d_(i-1)^T = 0, each l
+  in L ends some w in im d_(i-1)^T in ker d_i^T: row l is a combination of
   rows k < l, so of those outside L.  The first row per last column is a
   pivot at once; H_{i-1,j} less the empty rows outside L reduce to 0, for M
   generated in degree 1 only off-diagonal ones.  Blocks share no rows;
@@ -44,6 +49,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,8 +129,8 @@ class _SplitBasis:
     d, e <= j_max, are the global indices in alg[d] and mod[e], size in all,
     and the terms coef * g of each g1 * g2 != 0 (g1 in A_+) are coefs and gs,
     sorted by code = g1 * size + g2.  When A and M are monomial, mono[g] is
-    g's basis monomial and key[g] its exponent vector read in base n_max + 1,
-    so keys add under products; otherwise mono is None and every key is 0."""
+    g's basis monomial and exps[g] its exponent vector, which adds under
+    products; otherwise mono is None and exps has no columns."""
 
     def __init__(self, a: DegreewiseAlgebra, m: ModuleTruncation, j_max: int):
         self.p, self.alg, self.mod = a.fld.l, [], []
@@ -137,8 +143,9 @@ class _SplitBasis:
         self.mono = [mo for bases in (a.basis_monomials, m.basis_monomials)
                      for monos in bases[:j_max + 1] for mo in monos] \
             if _monomial(a, m) else None
-        self.key = [sum(e * self.base ** r for r, e in mo.exps) for mo in self.mono] \
-            if self.mono is not None else [0] * size
+        n = 1 + max((r for mo in self.mono or () for r, _ in mo.exps), default=-1)
+        self.exps = exps = np.array([[dict(mo.exps).get(r, 0) for r in range(n)]
+                                     for mo in self.mono or ()], dtype=np.int64).reshape(size, n)
         terms = [np.zeros((3, 0), dtype=np.int64)]
         for d in range(1, j_max + 1):
             for e in range(1, j_max + 1 - d):
@@ -151,10 +158,8 @@ class _SplitBasis:
                                                + g2, right[d + e].start + rows, mat[rows, cols]]))
         terms = np.concatenate(terms, axis=1)
         self.code, self.gs, self.coefs = terms[:, np.argsort(terms[0], kind="stable")]
-        if self.mono is not None:  # Python int keys: exact for any number of variables
-            key = np.array(self.key, dtype=object)
-            if (key[self.gs] != key[self.code // size] + key[self.code % size]).any():
-                raise ValueError("product is not monomial")
+        if (exps[self.gs] != exps[self.code // size] + exps[self.code % size]).any():
+            raise ValueError("product is not monomial")
 
 
 class _BlockKeys:
@@ -172,27 +177,22 @@ class _BlockKeys:
     once per support and order, and mu read on S in that order.  Supports of
     at most three variables take the least id over all their orders, then
     the least mu among the orders that reach it; larger ones keep the order
-    of the variables, where trying every order costs more than it saves."""
+    of the variables, where trying every order costs more than it saves.  A
+    call keys all mu of a bar at once: their digits, supports and readings
+    are arrays, and only the restriction of each support is built in Python."""
+
+    ORDERS = list(itertools.permutations(range(3)))  # of the first three variables of a support
 
     def __init__(self, st: _SplitBasis):
-        n = 1 + max((r for mo in st.mono for r, _ in mo.exps), default=-1)
-        self.base, self.powers = st.base, [st.base ** r for r in range(n)]
+        self.base, exps = st.base, st.exps.tolist()
         # (A or M, degree, exponent vector) and the support, as a bit mask
-        self.label: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        self.mask: dict[int, int] = {}
-        for kind, ranges in enumerate((st.alg, st.mod)):
-            for d, basis in enumerate(ranges[1:], 1):
-                for g in basis:
-                    exps = [0] * n
-                    for r, e in st.mono[g].exps:
-                        exps[r] = e
-                    self.label[g] = (kind, d, tuple(exps))
-                    self.mask[g] = sum(1 << r for r, _ in st.mono[g].exps)
+        self.label = {g: (kind, d, tuple(exps[g])) for kind, ranges in enumerate((st.alg, st.mod))
+                      for d, basis in enumerate(ranges[1:], 1) for g in basis}
+        self.mask = {g: sum(1 << r for r, e in enumerate(exps[g]) if e) for g in self.label}
         # a product term lives on the support of its value
         self.terms = [(self.mask[g], c // st.size, c % st.size, coef, g) for c, coef, g
                       in zip(st.code.tolist(), st.coefs.tolist(), st.gs.tolist())]
         self.ids: dict[tuple, int] = {}
-        self.supports: dict[tuple[int, ...], tuple[int, list[tuple[int, ...]]]] = {}
 
     def exact(self) -> bool:
         """Do the keys tell blocks apart?  The names must tell the basis
@@ -203,61 +203,88 @@ class _BlockKeys:
         return len(set(self.label.values())) == len(self.label) and \
             all(sum(exps) <= d for _, d, exps in self.label.values())
 
-    def __call__(self, mu: int) -> tuple[int, tuple[int, ...]]:
-        exps = [mu // q % self.base for q in self.powers]
-        s = tuple(r for r, e in enumerate(exps) if e)
-        if s not in self.supports:
-            self.supports[s] = self._restriction(s)
-        sid, orders = self.supports[s]
-        return sid, min(tuple(exps[r] for r in o) for o in orders)
+    def __call__(self, mu: np.ndarray) -> np.ndarray:
+        """The keys of multidegrees, rows (degree, exponents from the last
+        variable down), as the first row with each key: all at once, from
+        each mu's digits and its support's restriction."""
+        digits = np.hstack([mu[:, :0:-1], np.zeros((len(mu), 3), dtype=np.int64)])
+        on = digits > 0
+        first, support = np.unique(_find(on, on, 2), return_inverse=True)
+        sid = np.array([self._restriction(tuple(np.flatnonzero(on[f]).tolist())) for f in first],
+                       dtype=np.int64).reshape(-1, 7)[support]
+        # each mu's nonzero digits in order of the variables, the first three
+        # read in the least way among the ORDERS that reach its support's id
+        read = np.take_along_axis(digits, np.argsort(~on, axis=1, kind="stable"), 1)
+        cand = read[:, self.ORDERS]
+        rank = np.where(sid[:, 1:] > 0, cand @ self.base ** np.arange(2, -1, -1), self.base ** 3)
+        read[:, :3] = cand[np.arange(len(mu)), rank.argmin(1)]
+        keys = np.column_stack([mu[:, 0], sid[:, 0], read])
+        return _find(keys, keys, max(self.base, len(self.ids)))
 
-    def _restriction(self, s: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    def _restriction(self, s: tuple[int, ...]) -> list[int]:
         """The least id of the restriction to s over the orders of s tried,
-        and the orders that reach it."""
+        then for each of ORDERS whether it is tried and reaches that id."""
         off = ~sum(1 << r for r in s)
-        inside = [(g, lab) for g, lab in self.label.items() if not self.mask[g] & off]
-        terms = [t[1:] for t in self.terms if not t[0] & off]
-        found = []
-        for order in itertools.permutations(s) if len(s) <= 3 else [s]:
-            name = {g: (kind, d, tuple(exps[r] for r in order)) for g, (kind, d, exps) in inside}
-            restriction = (frozenset(name.values()),
-                           frozenset((name[g1], name[g2], coef, name[g])
-                                     for g1, g2, coef, g in terms))
-            found.append((self.ids.setdefault(restriction, len(self.ids)), order))
-        least = min(sid for sid, _ in found)
-        return least, [order for sid, order in found if sid == least]
+        inside = [g for g in self.label if not self.mask[g] & off]
+        at = {g: k for k, g in enumerate(inside)}
+        terms = [(at[g1], at[g2], coef, at[g]) for mask, g1, g2, coef, g in self.terms
+                 if not mask & off]
+        labels, found, k = [self.label[g] for g in inside], {}, min(len(s), 3)
+        for o in itertools.permutations(range(k)) if len(s) <= 3 else [(0, 1, 2)]:
+            order = tuple(s[v] for v in o) + s[3:]
+            read = itemgetter(*order) if len(order) > 1 else lambda e: tuple(e[r] for r in order)
+            names = [(kind, d, read(exps)) for kind, d, exps in labels]
+            restriction = (frozenset(names), frozenset([(names[g1], names[g2], coef, names[g])
+                                                        for g1, g2, coef, g in terms]))
+            found[o + tuple(range(k, 3))] = self.ids.setdefault(restriction, len(self.ids))
+        least = min(found.values())
+        return [least] + [found.get(o) == least for o in self.ORDERS]
 
 
-def _reachable(st: _SplitBasis, i_max: int, j_max: int) -> dict[tuple[int, int], set[int]]:
-    """The keys of the bar basis tuples of each tier i <= i_max + 1 and
-    degree j <= j_max, as sums of their factors' keys."""
-    akeys = [{st.key[g] for g in basis} for basis in st.alg]
-    reach = {(0, e): {st.key[g] for g in st.mod[e]} for e in range(1, j_max + 1)}
-    for i in range(1, min(i_max, j_max) + 2):
-        for j in range(i + 1, j_max + 1):
-            reach[(i, j)] = {k + nu for d in range(1, j - i + 1) for k in akeys[d]
-                             for nu in reach[(i - 1, j - d)]}
-    return reach
-
-
-def _tuples(st: _SplitBasis, reach, memo: dict, i: int, j: int, mu: int) -> dict[int, list[tuple]]:
-    """The bar basis tuples (i algebra indices, then a module index) of
-    degree j and key mu, listed by the degree of their module factor: each a
-    in A_+ before the tuples of degree j - deg a and key mu - key a.  Each
-    list is in lexicographic order.  memo holds the lists already built."""
-    got = memo.get((i, j, mu))
-    if got is None:
-        if i == 0:
-            got = {j: [(g,) for g in st.mod[j] if st.key[g] == mu]}
-        else:
-            got = {}
-            for d in range(1, j - i + 1):
-                for g in st.alg[d]:
-                    if mu - st.key[g] in reach[(i - 1, j - d)]:
-                        for e, ts in _tuples(st, reach, memo, i - 1, j - d, mu - st.key[g]).items():
-                            got.setdefault(e, []).extend((g,) + t for t in ts)
-        memo[(i, j, mu)] = got
-    return got
+def _bar_tiers(st: _SplitBasis, keys, top: int, j_max: int) -> tuple[list, list, list]:
+    """The tuples (i algebra indices, then a module index) of one mu per
+    block key, the first found, stacked for i <= top block by block, with
+    each one's degree and weight, the multidegrees its block stands for.  An
+    edge (a, child, parent) joins a code of tier i - 1 and a in A_+ (a in
+    M_+ and the empty tuple's code 0 for tier 0) to the code they reach."""
+    deg = np.repeat(np.r_[0:len(st.alg), 0:len(st.mod)], [len(r) for r in st.alg + st.mod])
+    rows, size = np.column_stack([deg, st.exps[:, ::-1]]), 1 + j_max * int(st.exps.max(initial=1))
+    alg, mod = np.arange(len(st.alg[0]), st.alg[-1].stop), np.arange(st.mod[0].stop, st.size)
+    codes, edges = [np.zeros((1, rows.shape[1]), dtype=np.int64)], []  # below tier 0: code 0
+    for vecs in [mod] + [alg] * top:
+        a, child = np.nonzero(deg[vecs][:, None] + codes[-1][:, 0] <= j_max)
+        sums = rows[vecs[a]] + codes[-1][child]
+        first, parent = np.unique(_find(sums, sums, size), return_inverse=True)
+        codes.append(sums[first])
+        edges.append((vecs[a], child, parent))
+    del codes[0]
+    # every code is a multidegree mu; a block's weight sits on its first mu, 0 elsewhere
+    every = np.concatenate(codes)
+    first, mu = np.unique(_find(every, every, size), return_inverse=True)
+    _, rep, stands = np.unique(keys(every[first]) if keys else np.arange(len(first)),
+                               return_index=True, return_counts=True)
+    per_mu = np.bincount(rep, stands, len(first)).astype(np.int64)
+    weights = np.split(per_mu[mu], np.cumsum([len(c) for c in codes])[:-1])
+    need = [w > 0 for w in weights]
+    for i in range(top, 0, -1):
+        _, child, parent = edges[i]
+        need[i - 1][child[need[i][parent]]] = True
+    # a before the tuples of its child, listed by code in the tier below
+    tiers, degree, weight, t = [], [], [], np.zeros((1, 0), dtype=np.int64)
+    start, count = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for i, (a, child, parent) in enumerate(edges):
+        keep = need[i][parent]
+        n = count[child[keep]]
+        t = np.column_stack([np.repeat(a[keep], n), t[_ragged(start[child[keep]], n)]])
+        parent = np.repeat(parent[keep], n)
+        order = np.argsort(parent * (j_max + 1) + deg[t[:, -1]], kind="stable")
+        t, parent = t[order], parent[order]
+        count = np.bincount(parent, minlength=len(codes[i]))
+        start, out = np.cumsum(count) - count, weights[i][parent] > 0
+        tiers.append(t[out])
+        degree.append(codes[i][parent[out], 0])
+        weight.append(weights[i][parent[out]])
+    return tiers, degree, weight
 
 
 def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int) -> tuple:
@@ -349,28 +376,12 @@ def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
 
 
 def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
-    """The bar table in one pass: d keeps a tuple's degree and key (its
-    multidegree for monomial A and M, else 0), so each (degree, key) block is
-    a complex.  One block per degree and `_BlockKeys` key is built, all are
-    stacked tier by tier, and a tuple weighs the multidegrees it stands for."""
+    """The bar table in one pass: d keeps a tuple's code, so each block of
+    `_bar_tiers` is a complex, counted for the multidegrees it stands for."""
     st = _SplitBasis(a, m, j_max)
     keys = _BlockKeys(st) if st.mono is not None else None
-    keys = keys if keys and keys.exact() else None
-    reach = _reachable(st, i_max, j_max)
-    top, blocks, memo = min(i_max + 1, j_max), {}, {}
-    for j in range(1, j_max + 1):
-        for mu in set().union(*(reach.get((i, j), ()) for i in range(min(i_max + 1, j) + 1))):
-            blocks.setdefault((j, keys(mu) if keys else mu), [j, mu, 0])[2] += 1
-    tiers, degree, weight = [], [], []
-    bj, bn = np.array([(j, n) for j, _, n in blocks.values()], dtype=np.int64).reshape(-1, 2).T
-    for i in range(top + 1):
-        # module degree first: in lexicographic order alone the unsplit bar
-        # of a non-monomial input takes ~7% longer to rank
-        ts = [[t for e in sorted(got) for t in got[e]]
-              for got in (_tuples(st, reach, memo, i, j, mu) for j, mu, _ in blocks.values())]
-        tiers.append(np.array([t for b in ts for t in b], dtype=np.int64).reshape(-1, i + 1))
-        degree.append(np.repeat(bj, [len(b) for b in ts]))
-        weight.append(np.repeat(bn, [len(b) for b in ts]))
+    top = min(i_max + 1, j_max)
+    tiers, degree, weight = _bar_tiers(st, keys if keys and keys.exact() else None, top, j_max)
     diffs = [_bar_diff(st, tiers[i], tiers[i - 1]) for i in range(1, top + 1)]
     return _complex_table("bar differential", diffs, degree, weight, st.p, j_max)
 

@@ -1,5 +1,6 @@
 """Bar-complex Tor tables, Koszul scans, and engine cross-audits."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -399,6 +400,141 @@ class TestSplitBar:
             homology._bar_split_table(a, augmentation_module(a, a), 2, 2)
         with pytest.raises(ValueError, match="product is not monomial"):
             tor_algebra(a, 3, 3, engine="bar")
+
+
+def _reachable(st, i_max: int, j_max: int) -> dict:
+    """The keys of the bar basis tuples of each tier i <= i_max + 1 and
+    degree j <= j_max, as sums of their factors' keys."""
+    akeys = [{st.key[g] for g in basis} for basis in st.alg]
+    reach = {(0, e): {st.key[g] for g in st.mod[e]} for e in range(1, j_max + 1)}
+    for i in range(1, min(i_max, j_max) + 2):
+        for j in range(i + 1, j_max + 1):
+            reach[(i, j)] = {k + nu for d in range(1, j - i + 1) for k in akeys[d]
+                             for nu in reach[(i - 1, j - d)]}
+    return reach
+
+
+def _tuples(st, reach, memo: dict, i: int, j: int, mu: int) -> dict:
+    """The bar basis tuples (i algebra indices, then a module index) of
+    degree j and key mu, listed by the degree of their module factor: each a
+    in A_+ before the tuples of degree j - deg a and key mu - key a.  Each
+    list is in lexicographic order.  memo holds the lists already built."""
+    got = memo.get((i, j, mu))
+    if got is None:
+        if i == 0:
+            got = {j: [(g,) for g in st.mod[j] if st.key[g] == mu]}
+        else:
+            got = {}
+            for d in range(1, j - i + 1):
+                for g in st.alg[d]:
+                    if mu - st.key[g] in reach[(i - 1, j - d)]:
+                        for e, ts in _tuples(st, reach, memo, i - 1, j - d, mu - st.key[g]).items():
+                            got.setdefault(e, []).extend((g,) + t for t in ts)
+        memo[(i, j, mu)] = got
+    return got
+
+
+class TestBarTiers:
+    """`_bar_tiers` against the recursion it replaced: Python sets of keys
+    per tier and degree, and tuples built key by key with a memo.  Block by
+    block, in the order the tiers give: each block is one run of tuples
+    with one (degree, key), equal to the recursion's tuples of that key, and
+    weighs the number of reachable keys with its block key; each block key
+    has one representative, present in every tier that reaches it."""
+
+    @staticmethod
+    def _same(a, m, i_max: int, j_max: int, keyed: bool) -> None:
+        st = homology._SplitBasis(a, m, j_max)
+        keys = homology._BlockKeys(st) if st.mono is not None else None
+        keys = keys if keys and keys.exact() else None
+        assert (keys is not None) == keyed
+        top = min(i_max + 1, j_max)
+        tiers, degree, weight = homology._bar_tiers(st, keys, top, j_max)
+        # the keys of the recursion: exponent vectors read in base n_max + 1
+        n = st.exps.shape[1]
+        ref = SimpleNamespace(alg=st.alg, mod=st.mod, key=[
+            sum(e * st.base ** r for r, e in enumerate(row)) for row in st.exps.tolist()])
+        deg = {g: d for ranges in (st.alg, st.mod) for d, basis in enumerate(ranges) for g in basis}
+        reach = _reachable(ref, i_max, j_max)
+        mus = sorted({(j, mu) for (i, j), got in reach.items() if i <= top for mu in got})
+        rows = np.array([[j] + [mu // st.base ** r % st.base for r in reversed(range(n))]
+                         for j, mu in mus], dtype=np.int64).reshape(-1, 1 + n)
+        key = dict(zip(mus, keys(rows).tolist() if keys else mus))
+        stands = collections.Counter(key.values())
+        memo, reps, blocks = {}, {}, []
+        for i in range(top + 1):
+            assert len(tiers[i]) == len(degree[i]) == len(weight[i])
+            code = [(sum(deg[g] for g in t), sum(ref.key[g] for g in t)) for t in tiers[i].tolist()]
+            assert [j for j, _ in code] == degree[i].tolist()
+            cuts = [k for k in range(len(code)) if k == 0 or code[k] != code[k - 1]]
+            blocks.append([code[k] for k in cuts])
+            assert len(set(blocks[-1])) == len(cuts), i
+            for start, end in zip(cuts, cuts[1:] + [len(code)]):
+                j, mu = code[start]
+                assert reps.setdefault(key[(j, mu)], (j, mu)) == (j, mu), (i, j, mu)
+                got = _tuples(ref, reach, memo, i, j, mu)
+                want = [list(t) for e in sorted(got) for t in got[e]]
+                assert tiers[i][start:end].tolist() == want, (i, j, mu)
+                assert (weight[i][start:end] == stands[key[(j, mu)]]).all(), (i, j, mu)
+        assert len(reps) == len(stands)
+        for i, got in enumerate(blocks):
+            assert set(got) == {(j, mu) for j, mu in reps.values() if mu in reach.get((i, j), ())}
+
+    def test_four_vertex_graphs(self):
+        fld = PrimeField(2)
+        lam = exterior_algebra(4, n_max=5)
+        for t in all_graphs(4):
+            a = graph_algebra(t, fld, n_max=5)
+            self._same(a, augmentation_module(a, a), 4, 5, True)
+            self._same(lam, augmentation_module(a, lam), 5, 5, True)
+
+    def test_exterior_covers_odd_l(self):
+        for l in (3, 5):
+            lam = exterior_algebra(5, l=l, n_max=4)
+            self._same(lam, augmentation_module(lam, lam), 3, 4, True)
+            for t in random.Random(l).sample(list(all_graphs(5)), 4):
+                a = graph_algebra(t, PrimeField(l), n_max=4)
+                self._same(lam, augmentation_module(a, lam), 3, 4, True)
+                self._same(lam, augmentation_module(a, lam), 1, 3, True)
+
+    def test_keys_off(self):
+        # the modules of `TestSplitBar`'s two tests that turn reuse off: two
+        # basis vectors on each of x0, x0x1, x2, x2x3, and M_1 on 1 and x1^3
+        lam = exterior_algebra(4, l=3, n_max=2)
+        x = [Monomial.from_dict(e) for e in ({0: 1}, {2: 1}, {0: 1, 1: 1}, {2: 1, 3: 1})]
+        action = [np.zeros((4, 4), dtype=np.int64) for _ in range(4)]
+        action[1][0, 0] = action[1][1, 1] = 1
+        action[3][2, 2] = action[3][2, 3] = 1
+        m = ModuleTruncation(lam, [0, 4, 4], [None, action],
+                             basis_monomials=[[], [x[0], x[0], x[1], x[1]],
+                                              [x[2], x[2], x[3], x[3]]], monomial=True)
+        self._same(lam, m, 1, 2, False)
+        lam = exterior_algebra(2, l=3, n_max=2)
+        action = [np.array([[1, 0]], dtype=np.int64), np.zeros((1, 2), dtype=np.int64)]
+        m = ModuleTruncation(lam, [0, 2, 1], [None, action],
+                             basis_monomials=[[], [Monomial.unit(), Monomial.from_dict({1: 3})],
+                                              [Monomial.generator(0)]], monomial=True)
+        self._same(lam, m, 1, 2, False)
+
+    def test_unsplit_bar(self):
+        rng = random.Random(29)
+        for l in (2, 3, 5):
+            for mode, n in ((SymmetryMode.COMMUTATIVE, 3), (SymmetryMode.SUPERCOMMUTATIVE, 4)):
+                a = degreewise_expand(random_presentation(rng, l, mode, n, 2), 4)
+                c = np.array([rng.randrange(l) for _ in range(n - 1)] + [1], dtype=np.int64)
+                for m in (augmentation_module(a, a), ideal_module(a, c)):
+                    self._same(a, m, 4, 4, False)
+                    self._same(a, m, 1, 4, False)
+
+    def test_exact_past_int64_keys(self):
+        # on 40 variables the keys, in base 3, reach 5.4e18, and sums of two
+        # pass 2^63: an int64 code of degree and key would wrap
+        a = exterior_algebra(40, l=3, n_max=2)
+        m = augmentation_module(a, a)
+        key = max(sum(e * 3 ** r for r, e in mo.exps) for mo in homology._SplitBasis(a, m, 2).mono)
+        assert key > 5 * 10 ** 18 and 2 * key >= 2 ** 63
+        self._same(a, m, 2, 2, True)
+        assert homology._bar_split_table(a, m, 2, 2) == _dense_bar_table(a, m, 2, 2)
 
 
 def test_bar_term_dims_count_the_summands():

@@ -1,4 +1,4 @@
-"""Smoke tests: the scripts under scripts/ run to completion."""
+"""Smoke tests: the scripts under scripts/ run to completion, and a bad bound exits 2."""
 
 import importlib.util
 import json
@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +29,18 @@ def test_sweep_graphs():
 def test_run_models():
     r = run_script("run_models.py", "--bound", "3")
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("script, args", [
+    ("sweep_graphs.py", ["--bound", "1"]), ("sweep_graphs.py", ["--bound", "0"]),
+    ("sweep_graphs.py", ["--bound", "-1"]), ("sweep_graphs.py", ["--vertices", "-1"]),
+    ("run_models.py", ["--bound", "-3"])])
+def test_bad_bounds_exit_2(script, args):
+    # 1 is the sweep's exit code for mismatches found: a bad bound must not read as one
+    r = run_script(script, *args)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "must be at least" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def bench_pairs():
