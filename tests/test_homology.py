@@ -536,6 +536,16 @@ class TestBarTiers:
         self._same(a, m, 2, 2, True)
         assert homology._bar_split_table(a, m, 2, 2) == _dense_bar_table(a, m, 2, 2)
 
+    def test_exact_past_int64_rows(self):
+        # 70 variables at degree 1: a radix code of the rows (degree, then
+        # exponents 0 or 1, base 2) would wrap past 2^63, and x68 and x69
+        # would share a code
+        lam = exterior_algebra(70, l=2, n_max=2)
+        zero = [None, [np.zeros((0, 3), dtype=np.int64)] * 70]
+        m = ModuleTruncation(lam, [0, 3, 0], zero, basis_monomials=[
+            [], [Monomial.generator(g) for g in (0, 68, 69)], []], monomial=True)
+        self._same(lam, m, 1, 1, True)
+
 
 def test_bar_term_dims_count_the_summands():
     # the term sizes by recursion on the degree, against the sum over
