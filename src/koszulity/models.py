@@ -5,7 +5,8 @@ nondegenerate degree-2 pairing on the generator space.  The global models
 are finite "symbol data": a list of completion places with local pairing
 matrices, a list of outside valuations, and generators carrying local
 images, divisor orders and Frobenius values.  Pairs of generators multiply
-to a vector of local symbols, one coordinate per place, and the sum of all
+to a vector of local symbols, one coordinate per place, held for all pairs
+at once in one array (`GlobalSymbolDatum.symbols`); the sum of all
 coordinates vanishes when the datum is flagged as satisfying reciprocity.
 
 The quadratic algebra spanned by these symbol vectors is the object the
@@ -290,36 +291,34 @@ class GlobalSymbolDatum:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate([sp.minus1 for sp in self.s_places])
 
-    def _frob_minus1(self, t: str) -> int:
-        if self.minus1_coeffs is None:
-            return 0
-        tot = 0
-        for c, g in zip(self.minus1_coeffs, self.generators):
-            tot += int(c) * g.frob.get(t, 0)
-        return tot % self.fld.l
-
-    def symbol_vector(self, gi: int, hi: int) -> np.ndarray:
-        """Local symbols {x_g, x_h} as a vector over coord_labels()."""
+    def symbols(self) -> np.ndarray:
+        """Local symbols {x_g, x_h} of all pairs, an int64 array of shape
+        (generators, generators, coordinates) over coord_labels(): the local
+        pairings at the S-places, then the tame symbols ord_t(g) frob_t(h) -
+        ord_t(h) frob_t(g), whose diagonal in commutative mode is ord_t(x)
+        frob_t(-1), as {x,x} = {-1,x}.  ord and frob are reduced mod l as
+        Python ints before they become int64, so every product is exact."""
         p = self.fld.l
-        g, h = self.generators[gi], self.generators[hi]
-        out = []
+        gens = self.generators
+        n = len(gens)
+        out = np.zeros((n, n, len(self.coord_labels())), dtype=np.int64)
+        c = 0
         for i, sp in enumerate(self.s_places):
             if sp.kind == "complex" or not sp.flagged:
                 continue
-            out.append(int(gf.bilinear(g.images[i], sp.gram, h.images[i], p)))
-        square = gi == hi and self.mode is SymmetryMode.COMMUTATIVE
-        for op in self.outside_places:
-            if not op.flagged:
-                continue
-            t = op.label
-            if square:
-                # {x,x} = {-1,x}: the tame symbol picks up ord * frob(-1)
-                val = g.ord.get(t, 0) * self._frob_minus1(t)
-            else:
-                val = g.ord.get(t, 0) * h.frob.get(t, 0) \
-                    - h.ord.get(t, 0) * g.frob.get(t, 0)
-            out.append(val % p)
-        return np.array(out, dtype=np.int64)
+            imgs = np.array([g.images[i] for g in gens], dtype=np.int64).reshape(n, sp.dim) % p
+            out[:, :, c] = gf.bilinear(imgs, sp.gram % p, imgs.T, p)
+            c += 1
+        flagged = [op.label for op in self.outside_places if op.flagged]
+        ords, frobs = (np.array([[m.get(t, 0) % p for t in flagged] for m in maps],
+                                dtype=np.int64).reshape(n, len(flagged))
+                       for maps in ([g.ord for g in gens], [g.frob for g in gens]))
+        tame = ords[:, None] * frobs[None] - frobs[:, None] * ords[None]
+        if self.mode is SymmetryMode.COMMUTATIVE and self.minus1_coeffs is not None:
+            frob_minus1 = ((np.asarray(self.minus1_coeffs, dtype=np.int64) % p) @ frobs) % p
+            tame[range(n), range(n)] = ords * frob_minus1
+        out[:, :, c:] = tame % p
+        return out
 
     def validate(self) -> list[str]:
         """Structural checks; returns a list of human-readable problems."""
@@ -342,16 +341,16 @@ class GlobalSymbolDatum:
                     errors.append(
                         f"place {sp.label}: diagonal does not match {{x,x}} = {{-1,x}}")
         ord_users: dict[str, list[str]] = {}
-        bad_images = False
+        unreadable = False
         for g in self.generators:
             if len(g.images) != len(self.s_places):
                 errors.append(f"generator {g.label}: wrong number of local images")
-                bad_images = True
+                unreadable = True
                 continue
             for i, sp in enumerate(self.s_places):
                 if g.images[i].shape != (sp.dim,):
                     errors.append(f"generator {g.label}: bad image at {sp.label}")
-                    bad_images = True
+                    unreadable = True
             for t, e in g.ord.items():
                 if t not in outside_labels:
                     errors.append(f"generator {g.label}: ord at unknown place {t}")
@@ -365,8 +364,13 @@ class GlobalSymbolDatum:
         for t, users in ord_users.items():
             if len(users) > 1:
                 errors.append(f"outside place {t} has several divisors: {users}")
-        if bad_images:
-            return errors  # the checks below read every image
+        n = len(self.generators)
+        if self.minus1_coeffs is not None and np.shape(self.minus1_coeffs) != (n,):
+            errors.append(f"minus1_coeffs must have {n} entries, one per generator; "
+                          f"got shape {np.shape(self.minus1_coeffs)}")
+            unreadable = True
+        if unreadable:
+            return errors  # the checks below read every image and coefficient
         if self.minus1_coeffs is not None:
             tot = np.zeros(self.minus1_vector().shape[0], dtype=np.int64)
             for c, g in zip(self.minus1_coeffs, self.generators):
@@ -382,12 +386,9 @@ class GlobalSymbolDatum:
             else:
                 if gf.bilinear(lag, big, lag.T, p).any():
                     errors.append("declared Lagrangian is not isotropic")
-                span = RowSpan(big.shape[0], p)
-                for row in lag:
-                    span.add(row)
                 for g in self.generators:
                     if not any(e % p for e in g.ord.values()):
-                        if not span.contains(self.full_image(g)):
+                        if gf.solve_combination(lag, self.full_image(g), p) is None:
                             errors.append(
                                 f"generator {g.label} has trivial divisor but image "
                                 "outside the declared Lagrangian")
@@ -403,14 +404,9 @@ class GlobalSymbolDatum:
 
 def validate_reciprocity(d: GlobalSymbolDatum) -> tuple[bool, list[tuple[str, str]]]:
     """Do all pairwise symbols sum to zero over the coordinates?"""
-    p = d.fld.l
-    bad = []
-    n = len(d.generators)
     comm = d.mode is SymmetryMode.COMMUTATIVE
-    for i in range(n):
-        for j in range(i if comm else i + 1, n):
-            if int(d.symbol_vector(i, j).sum()) % p:
-                bad.append((d.generators[i].label, d.generators[j].label))
+    sums = np.triu(d.symbols().sum(axis=2) % d.fld.l, 0 if comm else 1)
+    bad = [(d.generators[i].label, d.generators[j].label) for i, j in zip(*np.nonzero(sums))]
     return not bad, bad
 
 
@@ -432,14 +428,13 @@ def predict_survivors(d: GlobalSymbolDatum) -> list[Monomial]:
     already accepted: the subspace supported on a place set Y has dimension
     #Y, minus one when reciprocity imposes the sum-zero constraint.
     """
-    order = d.order()
+    sym = d.symbols()
     covered: set[str] = set()
     accepted = 0
     out: list[Monomial] = []
-    for m in normal_monomials(order, 2, d.mode):
-        w = m.word()
-        vec = d.symbol_vector(w[0], w[1])
-        supp = support(d, vec)
+    for m in normal_monomials(d.order(), 2, d.mode):
+        g, h = m.word()
+        supp = support(d, sym[g, h])
         if not supp:
             continue
         grown = covered | supp
@@ -455,8 +450,10 @@ def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
     """The quadratic symbol algebra of the datum, degree by degree.
 
     A_2 is the span of the pairwise symbol vectors inside the coordinate
-    space; for l = 2 without sqrt(-1) the higher components are one copy of
-    F_2 per real place, with generators acting through their local signs.
+    space, with the reduced echelon basis of the normal-monomial symbols; for
+    l = 2 without sqrt(-1) the higher components are one copy of F_2 per
+    real place, with generators acting through their local signs.  Signs
+    that miss a real place leave A_3 outside A_1 A_2: a ValueError.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -464,45 +461,38 @@ def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
     order = d.order()
     ngen = len(order)
     labels = d.coord_labels()
-    # row g * ngen + h is the symbol {x_g, x_h}
-    sym = np.array([d.symbol_vector(g, h) for g in range(ngen) for h in range(ngen)],
-                   dtype=np.int64).reshape(ngen * ngen, len(labels))
-    span = RowSpan(len(labels), p)
-    for m in normal_monomials(order, 2, d.mode):
-        w = m.word()
-        span.add(sym[w[0] * ngen + w[1]])
-    basis = span.matrix()
+    sym = d.symbols()
+    words = np.array([m.word() for m in normal_monomials(order, 2, d.mode)],
+                     dtype=np.int64).reshape(-1, 2)
+    basis, pivots = gf.rref(sym[words[:, 0], words[:, 1]], p)
     dim2 = basis.shape[0]
     # the basis is in reduced echelon form: a vector of its span has its
     # coordinates at the pivot columns
-    coords = sym[:, span.pivot_of_row]
+    coords = sym[:, :, pivots]
     if ((coords @ basis - sym) % p).any():
         raise ValueError("a symbol lies outside the span of the normal-monomial symbols")
 
-    real = [(i, sp) for i, sp in enumerate(d.s_places) if sp.kind == "real"]
-    comm = d.mode is SymmetryMode.COMMUTATIVE
-    r = len(real) if comm else 0
-    real_coord = [labels.index(sp.label) for _, sp in real][:r]
-    real_sign = np.zeros((ngen, r), dtype=np.int64)
-    for gi, g in enumerate(d.generators):
-        for k, (i, _) in enumerate(real[:r]):
-            real_sign[gi, k] = int(g.images[i][0]) % p
+    # x_g acts on degree n >= 2 through its sign at each real place
+    real = [i for i, sp in enumerate(d.s_places) if sp.kind == "real"] \
+        if d.mode is SymmetryMode.COMMUTATIVE else []
+    r = len(real)
+    sign = np.array([[g.images[i][0] for i in real] for g in d.generators],
+                    dtype=np.int64).reshape(ngen, r) % p
+    real_coord = [labels.index(d.s_places[i].label) for i in real]
+    act2 = (sign[:, :, None] * basis[:, real_coord].T[None]) % p
+    if n_max >= 3:
+        reached = gf.rank(act2.transpose(1, 0, 2).reshape(r, ngen * dim2), p)
+        if reached < r:
+            raise ValueError(f"A_1 A_2 spans {reached} of the {r} dimensions of A_3, "
+                             "one per real place: the generators miss a real place")
 
     dims = [1, ngen, dim2] + [r] * (n_max - 2)
-    gen_action: list[list[np.ndarray]] = []
     eye = np.eye(ngen, dtype=np.int64)
-    gen_action.append([eye[:, g:g + 1] for g in range(ngen)])
-    gen_action.append([coords[g * ngen:(g + 1) * ngen].T.copy() for g in range(ngen)])
+    gen_action = [[eye[:, g:g + 1] for g in range(ngen)],
+                  [c.T.copy() for c in coords]]
     if n_max >= 3:
-        mats2 = []
-        for g in range(ngen):
-            mat = np.zeros((r, dim2), dtype=np.int64)
-            for k, ci in enumerate(real_coord):
-                mat[k, :] = (real_sign[g, k] * basis[:, ci]) % p
-            mats2.append(mat)
-        gen_action.append(mats2)
-    for n in range(3, n_max):
-        gen_action.append([np.diag(real_sign[g]) % p for g in range(ngen)])
+        gen_action.append(list(act2))
+    gen_action += [[np.diag(s) for s in sign] for _ in range(3, n_max)]
     a = DegreewiseAlgebra(fld, d.mode, order, n_max, dims, gen_action)
     a.place_basis2 = basis
     a.place_labels = labels

@@ -428,3 +428,59 @@ def test_noroot_takes_one_outside_count(capsys):
     code, out, err = run(capsys, *base, "--outside", "2,7")
     assert_one_error_line(code, out, err)
     assert "expected 1 outside place count (r)" in err
+
+
+def general_datum(capsys):
+    _, out, _ = run(capsys, "gen", "global-general", "--l", "2", "--s-places", "2",
+                    "--real-places", "1", "--seed", "3")
+    return out
+
+
+def drop_generators(obj):
+    obj.update(generators=[], lagrangian=None, minus1_coeffs=None)
+
+
+def zero_real_signs(obj):
+    obj.update(lagrangian=None, minus1_coeffs=None, reciprocity=False)
+    real = [i for i, sp in enumerate(obj["s_places"]) if sp["kind"] == "real"]
+    for g in obj["generators"]:
+        for i in real:
+            g["images"][i] = [0]
+
+
+# A_3 is one F_2 per real place; generators whose signs miss one leave it
+# outside A_1 A_2, and the datum is an input error, not a table or a crash
+@pytest.mark.parametrize("damage", [drop_generators, zero_real_signs],
+                         ids=["no-generators", "zero-real-signs"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_missed_real_place_exits_2(capsys, monkeypatch, command, damage):
+    obj = json.loads(general_datum(capsys))
+    damage(obj)
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert "A_1 A_2 spans 0 of the 1 dimensions of A_3" in err
+
+
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_long_minus1_coeffs_exits_2(capsys, monkeypatch, command):
+    # an extra coefficient is an error, not silently dropped
+    obj = json.loads(general_datum(capsys))
+    n = len(obj["generators"])
+    obj["minus1_coeffs"].append(1)
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert f"minus1_coeffs must have {n} entries" in err and f"({n + 1},)" in err
+
+
+def test_frob_beyond_int64_keeps_output(capsys, monkeypatch):
+    # frob is reduced mod l before it becomes int64: the output is unchanged
+    text = general_datum(capsys)
+    want = run(capsys, "check", "-", stdin=text, monkeypatch=monkeypatch)
+    assert want[0] == EXIT_OK
+    obj = json.loads(text)
+    frob = next(g["frob"] for g in obj["generators"] if any(g["frob"].values()))
+    t = next(t for t, v in frob.items() if v)
+    frob[t] += 2 * 10 ** 30
+    assert run(capsys, "check", "-", stdin=json.dumps(obj), monkeypatch=monkeypatch) == want

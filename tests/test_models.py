@@ -270,6 +270,134 @@ class TestReciprocityValidator:
         assert not ok and offenders
 
 
+def reference_symbol(d, gi, hi):
+    """{x_g, x_h} over coord_labels(), one place at a time in Python ints."""
+    p = d.fld.l
+    g, h = d.generators[gi], d.generators[hi]
+    out = []
+    for i, sp in enumerate(d.s_places):
+        if sp.kind == "complex" or not sp.flagged:
+            continue
+        out.append(sum(int(g.images[i][r]) * int(sp.gram[r, c]) * int(h.images[i][c])
+                       for r in range(sp.dim) for c in range(sp.dim)) % p)
+    square = gi == hi and d.mode is SymmetryMode.COMMUTATIVE
+    for op in d.outside_places:
+        if not op.flagged:
+            continue
+        t = op.label
+        if square:
+            # {x,x} = {-1,x}: the tame symbol picks up ord * frob(-1)
+            frob_minus1 = 0 if d.minus1_coeffs is None else sum(
+                int(c) * x.frob.get(t, 0) for c, x in zip(d.minus1_coeffs, d.generators))
+            val = g.ord.get(t, 0) * frob_minus1
+        else:
+            val = g.ord.get(t, 0) * h.frob.get(t, 0) - h.ord.get(t, 0) * g.frob.get(t, 0)
+        out.append(val % p)
+    return out
+
+
+def assert_symbols_match_reference(d):
+    sym = d.symbols()
+    n = len(d.generators)
+    assert sym.dtype == np.int64 and sym.shape == (n, n, len(d.coord_labels()))
+    assert sym.tolist() == [[reference_symbol(d, g, h) for h in range(n)] for g in range(n)]
+    return sym
+
+
+def first_outside_pair(d, frob=None):
+    """(g, h, t): an outside place t where frob_t(h) is `frob` (any nonzero
+    value when None) and g != h carries no divisor, or None."""
+    for t in (op.label for op in d.outside_places):
+        for hi, h in enumerate(d.generators):
+            f = h.frob.get(t, 0) % d.fld.l
+            if f and frob in (None, f):
+                for gi, g in enumerate(d.generators):
+                    if gi != hi and not g.ord.get(t, 0):
+                        return gi, hi, t
+    return None
+
+
+def symbols_datum():
+    """A JSON datum with a complex S-place, an unflagged S-place and an
+    unflagged outside place among flagged ones."""
+    return {
+        "l": 3, "sqrt_minus1": False, "reciprocity": False,
+        "s_places": [
+            {"label": "v0", "kind": "nonarch", "gram": [[0, 1], [2, 0]], "minus1": [0, 0]},
+            {"label": "c0", "kind": "complex", "gram": [], "minus1": []},
+            {"label": "v1", "kind": "nonarch", "flagged": False,
+             "gram": [[0, 1], [2, 0]], "minus1": [0, 0]},
+        ],
+        "outside_places": [{"label": "t0"}, {"label": "t1", "flagged": False},
+                           {"label": "t2"}],
+        "generators": [
+            {"label": "x", "images": [[1, 2], [], [1, 1]], "ord": {"t0": 1},
+             "frob": {"t1": 2, "t2": 1}},
+            {"label": "y", "images": [[2, 1], [], [0, 1]], "ord": {"t1": 1, "t2": 1},
+             "frob": {"t0": 2}},
+            {"label": "z", "images": [[0, 1], [], [1, 0]], "ord": {},
+             "frob": {"t0": 1, "t1": 1, "t2": 2}},
+        ],
+    }
+
+
+class TestSymbols:
+    """`symbols()` against the per-pair formula in Python ints."""
+
+    @pytest.mark.parametrize("build,args,kwargs", [
+        (build_global_symplectic, (2, (1, 1)), dict(l=3)),
+        (build_global_symplectic, (3, (2, 1)), dict(l=5)),
+        (build_global_symplectic, (2, (1, 1)), dict(l=2, sqrt_minus1=True)),
+        (build_global_general, (3, 2, (2, 1)), {}),
+        (build_annihilator, (4, 1, 2, (1, 1)), {}),
+        (build_noroot, (2, 2), dict(l=3)),
+        (build_noroot, (3, 1), dict(l=5, variant=2, num_c_places=2)),
+    ], ids=["symplectic-3", "symplectic-5", "symplectic-sqrt", "general",
+            "annihilator", "noroot-1", "noroot-2"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_builders(self, build, args, kwargs, seed):
+        d, _ = build(*args, seed=seed, **kwargs)
+        assert_symbols_match_reference(d)
+
+    def test_unflagged_and_complex_places(self):
+        d = datum_from_json(symbols_datum())
+        assert d.coord_labels() == ["v0", "t0", "t2"]
+        sym = assert_symbols_match_reference(d)
+        assert sym[:, :, 1:].any()
+
+    def test_commutative_diagonal(self):
+        # the general builders give l = 2 without sqrt(-1) and minus1_coeffs
+        for seed in range(3):
+            d, _ = build_global_general(3, 1, (2, 1), seed=seed)
+            assert d.mode is SymmetryMode.COMMUTATIVE and d.minus1_coeffs is not None
+            sym = assert_symbols_match_reference(d)
+        n = len(d.generators)
+        assert sym[range(n), range(n), len(d.s_places):].any()
+        d.minus1_coeffs = None
+        assert_symbols_match_reference(d)
+
+    def test_frob_beyond_int64(self):
+        d, _ = build_global_general(2, 1, (1, 1), seed=3)
+        want = d.symbols()
+        _, hi, t = first_outside_pair(d)
+        d.generators[hi].frob[t] += 2 * 10 ** 30
+        assert d.validate() == []
+        assert (assert_symbols_match_reference(d) == want).all()
+
+    def test_ord_product_beyond_int64(self):
+        # 3 * 2^61 fits in int64 and is 0 mod 3, so the validator accepts it;
+        # times a Frobenius value of 2 it wraps unless reduced first
+        d = next(d for d, _ in (build_global_symplectic(2, (1, 1), l=3, seed=s)
+                                for s in range(10)) if first_outside_pair(d, 2))
+        want = d.symbols()
+        obj = datum_to_json(d)
+        gi, _, t = first_outside_pair(d, 2)
+        obj["generators"][gi]["ord"][t] = 3 * 2 ** 61
+        d = datum_from_json(obj)
+        assert d.validate() == []
+        assert (assert_symbols_match_reference(d) == want).all()
+
+
 class TestDatumJson:
     def test_round_trip(self):
         for d, _ in (build_global_symplectic(2, (1, 1), l=3, seed=0),
