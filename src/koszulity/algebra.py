@@ -1,11 +1,11 @@
 """Quadratic (super)commutative algebras over F_l and their degreewise form.
 
 A presentation holds quadratic relations in the free commutative or free
-supercommutative algebra on an ordered generator list.  Expanding it degree
-by degree produces explicit bases (as subsets of normal monomials) together
-with the generator multiplication maps, which is the form all downstream
-machinery (filtrations, bar homology) consumes.  Degreewise algebras can
-also be built directly, e.g. from synthesized multiplication data.
+supercommutative algebra on an ordered generator list.  Its expansion has
+as degree-n basis the standard monomials (the PBW basis), and one builder
+reads the generator actions off merge signs for it, for free algebras and
+for monomial algebras (gr^F A).  Degreewise algebras can also be built
+directly, e.g. from symbol data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
-from .gf import PrimeField, RowSpan
+from .gf import PrimeField
 from .monomials import GeneratorOrder, Monomial, mono_enumerate, mono_mul
 
 
@@ -231,26 +231,21 @@ class DegreewiseAlgebra:
 
         This is also the PBW survivor scan: a word is kept exactly when its
         value leaves the span of the values of all smaller words, so the words
-        are the basis of gr^F A_n.  Row i of the coordinate matrix writes the
-        basis vector e_i as a combination of the word values (coordinates @
-        values = I mod l).
+        are the basis of gr^F A_n: the pivot columns of one `rref` of the
+        values of the normal monomials, stacked as columns.  Row i of the
+        coordinate matrix writes the basis vector e_i as a combination of the
+        word values (coordinates @ values = I mod l).
         """
         if n in self._word_cache:
             return self._word_cache[n]
-        span = RowSpan(self.dims[n], self.fld.l)
-        words: list[Monomial] = []
-        vals: list[np.ndarray] = []
-        for mono in normal_monomials(self.order, n, self.mode):
-            if span.dim == self.dims[n]:
-                break
-            v = self.monomial_value(mono)
-            if span.add(v):
-                words.append(mono)
-                vals.append(v)
-        if span.dim != self.dims[n]:
+        d = self.dims[n]
+        monos = normal_monomials(self.order, n, self.mode) if d else []
+        values = np.array([self.monomial_value(m) for m in monos],
+                          dtype=np.int64).reshape(len(monos), d)
+        pivots = gf.rref(values.T, self.fld.l)[1]
+        if len(pivots) != d:
             raise ValueError(f"A_{n} is not spanned by monomials in the generators")
-        values = np.array(vals, dtype=np.int64).reshape(len(vals), self.dims[n])
-        self._word_cache[n] = (words, gf.inverse(values, self.fld.l))
+        self._word_cache[n] = ([monos[k] for k in pivots], gf.inverse(values[pivots], self.fld.l))
         return self._word_cache[n]
 
     def element_product(self, u: np.ndarray, n: int, v: np.ndarray, m: int) -> np.ndarray:
@@ -295,40 +290,61 @@ def word_action(a: DegreewiseAlgebra, action, dims: list[int], d: int, n: int) -
     return blocks.transpose(1, 0, 2).reshape(dims[n + d], a.dims[d] * dims[n])
 
 
-def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra:
-    """Expand a presentation into explicit bases and generator actions."""
-    if n_max < 2:
+def _monomial_basis_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
+                            bases: list[list[Monomial]], reduce=None) -> DegreewiseAlgebra:
+    """The algebra whose degree-n basis is the list bases[n] of normal monomials.
+
+    x_g acts on a basis monomial by its merge sign (`free_product`), and the
+    product is read in degree n + 1 through reduce(n + 1, product): its
+    normal form as (basis position, value) pairs.  Without reduce the
+    algebra is monomial: the product is itself, and 0 outside the basis.
+    """
+    if len(bases) < 3:
         raise ValueError("n_max must be >= 2")
-    comps = [p.component(n) for n in range(n_max + 1)]
-    dims = [len(basis) for _, basis, _ in comps]
+    p, monomial = fld.l, reduce is None
+    if monomial:
+        index = [{m: i for i, m in enumerate(b)} for b in bases]
+
+        def reduce(n: int, mono: Monomial):
+            return [(index[n][mono], 1)] if mono in index[n] else []
+
     gen_action: list[list[np.ndarray]] = []
-    for n in range(n_max):
-        (lo, lo_basis, _), (hi, hi_basis, forms) = comps[n], comps[n + 1]
-        hi_idx = {m: i for i, m in enumerate(hi)}
-        pos = {i: k for k, i in enumerate(hi_basis)}
+    for n in range(len(bases) - 1):
         mats = []
-        for g in range(len(p.order)):
-            mat = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
+        for g in range(len(order)):
+            mat = np.zeros((len(bases[n + 1]), len(bases[n])), dtype=np.int64)
             xg = Monomial.generator(g)
-            for col, bi in enumerate(lo_basis):
-                sign, prod = free_product(xg, lo[bi], p.mode, p.fld.l)
+            for col, mono in enumerate(bases[n]):
+                sign, prod = free_product(xg, mono, mode, p)
                 if prod is not None:
-                    i = hi_idx[prod]
-                    for j, y in forms.get(i, {i: 1}).items():
-                        mat[pos[j], col] = sign * y % p.fld.l
+                    for row, y in reduce(n + 1, prod):
+                        mat[row, col] = sign * y % p
             mats.append(mat)
         gen_action.append(mats)
-    return DegreewiseAlgebra(
-        p.fld, p.mode, p.order, n_max, dims, gen_action,
-        basis_monomials=[[monos[i] for i in basis] for monos, basis, _ in comps],
-    )
+    return DegreewiseAlgebra(fld, mode, order, len(bases) - 1, [len(b) for b in bases],
+                             gen_action, basis_monomials=bases, monomial=monomial)
+
+
+def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra:
+    """Expand a presentation into explicit bases and generator actions."""
+    comps = [p.component(n) for n in range(n_max + 1)]
+    index = [{m: i for i, m in enumerate(monos)} for monos, _, _ in comps]
+    pos = [{i: k for k, i in enumerate(basis)} for _, basis, _ in comps]
+
+    def normal_form(n: int, mono: Monomial):
+        i = index[n][mono]
+        return [(pos[n][j], y) for j, y in comps[n][2].get(i, {i: 1}).items()]
+
+    return _monomial_basis_algebra(p.fld, p.mode, p.order,
+                                   [[monos[i] for i in basis] for monos, basis, _ in comps],
+                                   normal_form)
 
 
 def free_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
                  n_max: int) -> DegreewiseAlgebra:
-    a = degreewise_expand(QuadraticPresentation(fld, mode, order), n_max)
-    a.monomial = True
-    return a
+    """The free (super)commutative algebra through n_max, a monomial algebra."""
+    return _monomial_basis_algebra(fld, mode, order,
+                                   [normal_monomials(order, n, mode) for n in range(n_max + 1)])
 
 
 @dataclass

@@ -22,9 +22,8 @@ from .graded import MonomialTruncation, pbw_verdict
 from .graphs import algebra_verdict, graph_from_truncation
 from .homology import koszul_scan, tor_algebra
 from .models import (LocalCase, build_annihilator, build_global_general,
-                     build_global_symplectic, build_local, build_noroot,
-                     datum_from_json, datum_to_algebra, datum_to_json,
-                     local_presentation)
+                     build_global_symplectic, build_noroot, datum_from_json,
+                     datum_to_algebra, datum_to_json, local_presentation)
 
 EXIT_OK = 0
 EXIT_NON_KOSZUL = 1

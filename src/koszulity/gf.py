@@ -2,14 +2,14 @@
 
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
-kernels, solving and inverses all read its result.  There is one sparse
-elimination, `dict_pivots`, on {index: value} vectors of Python ints.  It
-returns its greatest-index pivots with their echelon vectors: the pivots
-give the bottom-up ranks of the bar and Koszul complexes and the
+kernels, solving, inverses and the PBW survivor scan read its result.  The
+one sparse elimination, `dict_pivots`, on {index: value} vectors of Python
+ints, returns its greatest-index pivots with their echelon vectors: the
+pivots give the bottom-up ranks of the bar and Koszul complexes and the
 resolution's generators, and the vectors give the degreewise expansion its
-standard monomials and normal forms.  `sparse_rank` counts the pivots for
-a `SparseMatrixGF`; nothing in the package calls it.  The model
-generators draw a random element of a row space with `random_combination`.
+standard monomials and normal forms.  Nothing in the package calls
+`sparse_rank`.  `RowSpan` serves only the two random isotropic extensions,
+drawn by `random_combination`, whose insertion-order rows `gen` writes.
 
 The modulus is bounded by MAX_MODULUS = 2^16.  An entry reduced mod l is at
 most l - 1 < 2^16 in absolute value, so a single product of two entries

@@ -3,8 +3,8 @@
 The filtration of A_n by monomials is the canonical degree-1-generated
 extension of the generator filtration: F_m A_n = span of the values of all
 monomials <= m.  A monomial survives when its value leaves the span of the
-values of all strictly smaller monomials; the surviving monomials are a
-basis of A and the basis of the monomial algebra gr^F A.
+values of all strictly smaller monomials (a pivot column of one `rref`, in
+`word_basis`); the survivors are a basis of A and of gr^F A.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import DegreewiseAlgebra, SymmetryMode, free_product, normal_monomials
+from .algebra import (DegreewiseAlgebra, SymmetryMode, _monomial_basis_algebra,
+                      normal_monomials)
 from .monomials import GeneratorOrder, Monomial, divisors_degree
 
 
@@ -107,24 +108,7 @@ def pbw_verdict(a: DegreewiseAlgebra) -> PBWVerdict:
 
 def monomial_algebra(g: MonomialTruncation, fld) -> DegreewiseAlgebra:
     """gr^F A as an explicit degreewise algebra with the survivors as basis."""
-    dims = [len(s) for s in g.surviving]
-    index = [{m: i for i, m in enumerate(s)} for s in g.surviving]
-    gen_action: list[list[np.ndarray]] = []
-    for n in range(g.n_max):
-        mats = []
-        for gr in range(len(g.order)):
-            mat = np.zeros((dims[n + 1], dims[n]), dtype=np.int64)
-            xg = Monomial.generator(gr)
-            for col, m in enumerate(g.surviving[n]):
-                sign, prod = free_product(xg, m, g.mode, fld.l)
-                if prod is not None and prod in index[n + 1]:
-                    mat[index[n + 1][prod], col] = sign
-            mats.append(mat)
-        gen_action.append(mats)
-    return DegreewiseAlgebra(
-        fld, g.mode, g.order, g.n_max, dims, gen_action,
-        basis_monomials=[list(s) for s in g.surviving], monomial=True,
-    )
+    return _monomial_basis_algebra(fld, g.mode, g.order, [list(s) for s in g.surviving])
 
 
 def module_surviving_monomials(a: DegreewiseAlgebra, subspace_bases: list[np.ndarray],

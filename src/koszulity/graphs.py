@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .gf import PrimeField
 from .monomials import GeneratorOrder, Monomial
 from .algebra import DegreewiseAlgebra, SymmetryMode

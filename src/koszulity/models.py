@@ -336,6 +336,9 @@ class GlobalSymbolDatum:
                 if ((sp.gram + sp.gram.T) % p).any() or (sp.gram.diagonal() % p).any():
                     errors.append(f"place {sp.label}: pairing must be alternating")
             else:
+                if sp.kind == "real" and not sp.flagged:
+                    errors.append(f"place {sp.label}: a real place carries a symbol "
+                                  "coordinate at l = 2 and must be flagged")
                 want = (sp.gram @ sp.minus1) % p
                 if (sp.gram.diagonal() % p != want).any():
                     errors.append(
@@ -557,8 +560,7 @@ def _split_images(w: np.ndarray, s_places: list[SPlace]) -> list[np.ndarray]:
 
 
 def _assemble_datum(fld, sqrt_minus1, s_places, outside_labels, raw, free,
-                    reciprocity=True, lagrangian=None, minus1_coeffs=None,
-                    flagged_outside=None):
+                    lagrangian=None, minus1_coeffs=None):
     big = _block_diag([sp.gram for sp in s_places])
     frobs = _complete_frobs(raw, outside_labels, big, fld.l, free)
     gens = []
@@ -568,11 +570,9 @@ def _assemble_datum(fld, sqrt_minus1, s_places, outside_labels, raw, free,
             ord={t: 1} if t is not None else {},
             frob=frobs[label],
         ))
-    outs = [OutsidePlace(t, True if flagged_outside is None else t in flagged_outside)
-            for t in outside_labels]
-    return GlobalSymbolDatum(fld, sqrt_minus1, s_places, outs, gens,
-                             reciprocity=reciprocity, lagrangian=lagrangian,
-                             minus1_coeffs=minus1_coeffs)
+    return GlobalSymbolDatum(fld, sqrt_minus1, s_places,
+                             [OutsidePlace(t) for t in outside_labels], gens,
+                             lagrangian=lagrangian, minus1_coeffs=minus1_coeffs)
 
 
 def _prediction_holds(d: GlobalSymbolDatum) -> bool:

@@ -29,6 +29,8 @@ class GeneratorOrder:
         return len(self.names)
 
     def rank(self, name: str) -> int:
+        if name not in self.names:
+            raise ValueError(f"unknown generator {name!r}")
         return self.names.index(name)
 
 
@@ -103,9 +105,13 @@ class Monomial:
             if "^" in part:
                 name, exp = part.split("^")
                 e = int(exp)
+                if e <= 0:
+                    raise ValueError(f"exponent {exp.strip()} of {name.strip()} in {s!r} "
+                                     "is not positive")
             else:
                 name, e = part, 1
-            d[order.rank(name.strip())] = d.get(order.rank(name.strip()), 0) + e
+            r = order.rank(name.strip())
+            d[r] = d.get(r, 0) + e
         return cls.from_dict(d)
 
 

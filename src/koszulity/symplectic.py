@@ -144,20 +144,14 @@ def lagrangian_transversal(w: BilinearSpace, lagr: Subspace) -> list[Subspace]:
     picked: list[np.ndarray] = []
     # invariant before step t: L + chosen lines + planes[t:] spans everything
     for t, (k, pl) in enumerate(flat):
-        rest = RowSpan(w.dim, p)
-        for row in lagr.basis:
-            rest.add(row)
-        for line in picked:
-            rest.add(line)
-        for _, q in flat[t + 1:]:
-            rest.add(q[0])
-            rest.add(q[1])
-        if rest.dim < w.dim - 1:
+        rest = np.vstack([lagr.basis, *picked, *(q for _, q in flat[t + 1:])])
+        dim = gf.rank(rest, p)
+        if dim < w.dim - 1:
             raise AssertionError("transversal invariant broken: codimension > 1")
         e, f = pl
         for a, b in _line_reps(p):
             line = (a * e + b * f) % p
-            if rest.dim == w.dim or not rest.contains(line):
+            if dim == w.dim or gf.rank(np.vstack([rest, line]), p) > dim:
                 chosen[k].append(line)
                 picked.append(line)
                 break

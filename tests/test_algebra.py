@@ -22,6 +22,9 @@ from koszulity.algebra import (QuadraticPresentation, SymmetryMode,
 from koszulity import gf
 from koszulity.gf import PrimeField, RowSpan
 from koszulity.monomials import Monomial, mono_enumerate
+from koszulity.models import (MINIMAL_DIMS, LocalCase, build_annihilator,
+                              build_global_general, build_global_symplectic,
+                              build_local, build_noroot, datum_to_algebra)
 
 from conftest import (exterior_algebra, gen_order, polynomial_algebra,
                       presentation_from_strings, random_presentation)
@@ -453,3 +456,70 @@ def test_expansion_fits_in_one_gib():
                        env=env, timeout=120)
     assert r.returncode == 0, r.stderr[-400:]
     assert r.stdout.split("\n")[0] == "[1, 20, 1, 0, 0]"
+
+
+@pytest.mark.parametrize("mode", list(SymmetryMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_free_algebra_matches_empty_presentation(mode, l):
+    # the route free_algebra took before the shared monomial-basis builder:
+    # the expansion of a presentation without relations, flagged monomial
+    for n in range(1, 7):
+        for n_max in range(2, 6):
+            fld, order = PrimeField(l), gen_order(n)
+            want = degreewise_expand(QuadraticPresentation(fld, mode, order), n_max)
+            want.monomial = True
+            got = free_algebra(fld, mode, order, n_max)
+            assert got.dims == want.dims and got.monomial
+            assert got.basis_monomials == want.basis_monomials
+            assert [[m.tobytes() for m in mats] for mats in got.gen_action] == \
+                [[m.tobytes() for m in mats] for mats in want.gen_action]
+
+
+def greedy_word_basis(a, n):
+    """The survivor scan before it became one rref: each normal monomial in
+    invlex order is kept when its value grows an incremental `RowSpan`."""
+    span = RowSpan(a.dims[n], a.fld.l)
+    words, vals = [], []
+    for mono in normal_monomials(a.order, n, a.mode):
+        if span.dim == a.dims[n]:
+            break
+        v = a.monomial_value(mono)
+        if span.add(v):
+            words.append(mono)
+            vals.append(v)
+    values = np.array(vals, dtype=np.int64).reshape(len(vals), a.dims[n])
+    return words, gf.inverse(values, a.fld.l)
+
+
+def symbol_algebras():
+    """Algebras with no presentation, whose word coordinates are not all the
+    identity: every global kind at seeds 0-2 and every local case."""
+    builds = [
+        (build_global_symplectic, (2, (1, 1)), dict(l=3)),
+        (build_global_symplectic, (3, (2, 1)), dict(l=5)),
+        (build_global_symplectic, (2, (1, 1)), dict(l=2, sqrt_minus1=True)),
+        (build_global_general, (3, 2, (2, 1)), {}),
+        (build_annihilator, (4, 1, 2, (1, 1)), {}),
+        (build_noroot, (2, 2), dict(l=3)),
+        (build_noroot, (3, 1), dict(l=5, variant=2, num_c_places=2)),
+    ]
+    for build, args, kwargs in builds:
+        for seed in range(3):
+            yield datum_to_algebra(build(*args, seed=seed, **kwargs)[0], 4)
+    for case, dims in MINIMAL_DIMS.items():
+        for dim in dims:
+            for l in ((2,) if case.startswith("two") else (3, 5)):
+                yield build_local(LocalCase(case, dim, l), 4)[0]
+    yield build_local(LocalCase("symplectic", 4, 2, sqrt_minus1=True), 4)[0]
+
+
+def test_word_basis_matches_greedy_scan():
+    identity = True
+    for a in symbol_algebras():
+        for n in range(a.n_max + 1):
+            words, coords = a.word_basis(n)
+            want_words, want_coords = greedy_word_basis(a, n)
+            assert words == want_words
+            assert coords.shape == want_coords.shape and (coords == want_coords).all()
+            identity &= (coords == np.eye(a.dims[n], dtype=np.int64)).all()
+    assert not identity

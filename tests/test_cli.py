@@ -484,3 +484,31 @@ def test_frob_beyond_int64_keeps_output(capsys, monkeypatch):
     t = next(t for t, v in frob.items() if v)
     frob[t] += 2 * 10 ** 30
     assert run(capsys, "check", "-", stdin=json.dumps(obj), monkeypatch=monkeypatch) == want
+
+
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_unflagged_real_place_exits_2(capsys, monkeypatch, command):
+    # at l = 2 a real place always carries a symbol coordinate: the datum is
+    # rejected by name, before the algebra looks for the place's coordinate
+    obj = json.loads(general_datum(capsys))
+    real = next(sp for sp in obj["s_places"] if sp["kind"] == "real")
+    real["flagged"] = False
+    obj["reciprocity"] = False
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert f"place {real['label']}: a real place" in err and "must be flagged" in err
+
+
+@pytest.mark.parametrize("mono,message", [
+    ("x0*z", "unknown generator 'z'"),
+    ("x0^-1*x1^3", "exponent -1 of x0 in 'x0^-1*x1^3' is not positive"),
+], ids=["unknown-generator", "negative-exponent"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_relation_term_errors_name_the_term(capsys, monkeypatch, command, mono, message):
+    obj = exterior2_presentation()
+    obj["relations"] = [[{"mono": mono, "coef": 1}]]
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert message in err
