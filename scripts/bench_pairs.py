@@ -9,9 +9,15 @@ side, and the pairs the change won), the no-regression verdict of every
 workload and metric and, with --claim, the verdict of the claim rule are
 written as one JSON file.  The claim rule:
 
-* the change must win at least 9 in 10 of the pairs, and
+* the change must win at least 9 in 10 of the pairs,
 * its median must be better than the parent's by more than the parent's
-  interquartile range (IQR).
+  interquartile range (IQR), and
+* no run of the change, on any workload, may have outputs that a check
+  marked wrong (`correct` false), nor fail a larger share of the
+  operations it attempted than the parent's runs of that workload.
+
+Each side's operations attempted and failed and its incorrect runs are
+written per workload, with or without --claim.
 
 The no-regression verdict compares the relative change of the medians with
 the metric's `bound` in BENCHMARK.json: `unresolved` where the parent's IQR
@@ -70,19 +76,48 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def claim(summary: dict, workload: str, metric: str, better: str) -> dict:
+def run_counts(runs: list[dict]) -> dict:
+    """For each workload and side: the operations attempted and failed,
+    summed over the runs, and the runs whose outputs a check marked wrong."""
+    out: dict = {}
+    for r in runs:
+        side = out.setdefault(r["workload"], {}).setdefault(
+            r["side"], {"runs": 0, "attempted": 0, "failed": 0, "incorrect_runs": 0})
+        side["runs"] += 1
+        side["attempted"] += r["result"]["attempted"]
+        side["failed"] += r["result"]["failed"]
+        side["incorrect_runs"] += not r["result"]["correct"]
+    return out
+
+
+def counts_ok(counts: dict) -> bool:
+    """No change run incorrect, and on no workload a larger failed share of
+    the attempted operations than the parent's."""
+    def share(c):
+        return c["failed"] / c["attempted"] if c["attempted"] else 0.0
+    return all(c["change"]["incorrect_runs"] == 0 and share(c["change"]) <= share(c["parent"])
+               for c in counts.values())
+
+
+def claim(summary: dict, workload: str, metric: str, better: str,
+          counts: dict | None = None) -> dict:
     """The claim rule: at least 9 in 10 pairs won, and the medians further
-    apart, in the better direction, than the parent's IQR."""
+    apart, in the better direction, than the parent's IQR; with the run
+    counts of `run_counts`, also `counts_ok`."""
     s = summary[workload][metric]
     parent, change = s["parent"], s["change"]
     iqr = parent["q3"] - parent["q1"]
     gain = change["median"] - parent["median"] if better == "higher" else \
         parent["median"] - change["median"]
-    return {"workload": workload, "metric": metric, "better": better,
-            "change_better_pairs": s["change_better_pairs"], "pairs": s["pairs"],
-            "parent_median": parent["median"], "parent_iqr": iqr,
-            "change_median": change["median"],
-            "met": 10 * s["change_better_pairs"] >= 9 * s["pairs"] and gain > iqr}
+    out = {"workload": workload, "metric": metric, "better": better,
+           "change_better_pairs": s["change_better_pairs"], "pairs": s["pairs"],
+           "parent_median": parent["median"], "parent_iqr": iqr,
+           "change_median": change["median"],
+           "met": 10 * s["change_better_pairs"] >= 9 * s["pairs"] and gain > iqr}
+    if counts is not None:
+        out["counts_ok"] = counts_ok(counts)
+        out["met"] = out["met"] and out["counts_ok"]
+    return out
 
 
 def no_regression(summary: dict, end_to_end: list[dict]) -> dict:
@@ -150,7 +185,7 @@ def main() -> int:
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "position": position, "result": result})
                 print(workload, seed, side, json.dumps(result["metrics"]), file=sys.stderr)
-    summary = summarize(runs, better)
+    summary, counts = summarize(runs, better), run_counts(runs)
     out = {"what": args.what, "parent_commit": commits["parent"],
            "change_commit": commits["change"],
            "command": f"python3 benchmark/run.py --workload W --seed N --seconds {args.seconds:g}",
@@ -161,8 +196,10 @@ def main() -> int:
                       f"Python {platform.python_version()}"}
     if args.claim:
         workload, metric = args.claim.split(":")
-        out["claim"] = claim(summary, workload, metric, better[metric])
+        out["claim"] = claim(summary, workload, metric, better[metric], counts)
         print(json.dumps(out["claim"]), file=sys.stderr)
+    out["counts"] = counts
+    print(json.dumps(counts), file=sys.stderr)
     out["no_regression"] = no_regression(summary, bench["end_to_end"])
     for w, metrics in out["no_regression"].items():
         print(w, json.dumps({m: v["status"] for m, v in metrics.items()}), file=sys.stderr)

@@ -5,7 +5,8 @@ supercommutative algebra on an ordered generator list.  Its expansion has
 as degree-n basis the standard monomials (the PBW basis), and one builder
 reads the generator actions off merge signs for it, for free algebras and
 for monomial algebras (gr^F A).  Degreewise algebras can also be built
-directly, e.g. from symbol data.
+directly, e.g. from symbol data.  Monomial products are lookups in
+`monomials.times_generators` tables of exponent rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import gf
 from .gf import PrimeField
-from .monomials import GeneratorOrder, Monomial, mono_enumerate, mono_mul
+from .monomials import (GeneratorOrder, Monomial, exponent_rows, invlex_words, monomial_count,
+                        row_monomials, times_generators)
 
 
 class SymmetryMode(enum.Enum):
@@ -27,24 +29,7 @@ class SymmetryMode(enum.Enum):
 
 def normal_monomials(order: GeneratorOrder, degree: int, mode: SymmetryMode) -> list[Monomial]:
     """Normal-form monomial basis of the free algebra in the given degree."""
-    return mono_enumerate(order, degree, squarefree=(mode is SymmetryMode.SUPERCOMMUTATIVE))
-
-
-def free_product(a: Monomial, b: Monomial, mode: SymmetryMode, p: int) -> tuple[int, Monomial | None]:
-    """Product a*b in the free (super)commutative algebra: (sign, monomial).
-
-    Returns (0, None) when the product vanishes (repeated generator in
-    supercommutative mode).
-    """
-    if mode is SymmetryMode.SUPERCOMMUTATIVE:
-        if set(a.ranks()) & set(b.ranks()):
-            return 0, None
-        # count transpositions needed to merge the two ascending words
-        bw = b.word()
-        inversions = sum(1 for ra in a.word() for rb in bw if ra > rb)
-        sign = (-1) ** inversions % p
-        return sign, mono_mul(a, b)
-    return 1, mono_mul(a, b)
+    return row_monomials(exponent_rows(len(order), degree, mode is SymmetryMode.SUPERCOMMUTATIVE))
 
 
 def _normal_forms(rows, p: int) -> dict[int, dict[int, int]]:
@@ -72,7 +57,7 @@ class QuadraticPresentation:
     Relations are linear combinations of normal quadratic monomials, kept
     reduced: row r is e_lead minus the normal form of its lead monomial,
     greatest lead first, with leads on the invlex-largest monomials.
-    `component(n)` takes I_n's rows m * r sparsely into `gf.dict_pivots`,
+    `components(n_max)` takes I_n's rows m * r sparsely into `gf.dict_pivots`,
     as F4 does: the standard monomials, those that lead no element of I_n,
     are the basis of A_n, and the others are rewritten by their normal forms.
     """
@@ -113,25 +98,37 @@ class QuadraticPresentation:
                 rel[r, idx[m]] = c % fld.l
         return cls(fld, mode, order, rel)
 
-    def component(self, n: int) -> tuple[list[Monomial], list[int], dict[int, dict[int, int]]]:
-        """The normal monomials of degree n, the indices of the standard
-        ones (the basis of A_n), and the normal forms of the others."""
-        p, monos = self.fld.l, normal_monomials(self.order, n, self.mode)
-        idx = {m: i for i, m in enumerate(monos)}
-        terms = [[(self._quad[j], int(row[j])) for j in np.flatnonzero(row)]
-                 for row in self.relations]
-
-        def times(m: Monomial, rel) -> dict[int, int]:
-            row = {}
-            for q, c in rel:
-                sign, prod = free_product(m, q, self.mode, p)
-                if prod is not None:
-                    row[idx[prod]] = sign * c % p
-            return row
-
-        lower = normal_monomials(self.order, n - 2, self.mode) if n >= 2 else []
-        forms = _normal_forms((times(m, rel) for m in lower for rel in terms), p)
-        return monos, [i for i in range(len(monos)) if i not in forms], forms
+    def components(self, n_max: int) -> list[tuple[np.ndarray, list[int], dict]]:
+        """For each degree n through n_max: the exponent rows of the normal
+        monomials, the invlex indices of the standard ones (the basis of A_n),
+        and the normal forms of the others.  A term c * x_a * x_b (a <= b) of
+        a relation gives row m * r of I_n the term c * x_a * (x_b * m): two
+        lookups in one `times_generators` table, signed in super mode by the
+        parity of m's factors below a and below b."""
+        p, num = self.fld.l, len(self.order)
+        sq = self.mode is SymmetryMode.SUPERCOMMUTATIVE
+        rows = [exponent_rows(num, n, sq) for n in range(n_max + 1)]
+        start = np.cumsum([0] + [len(r) for r in rows]).tolist()
+        up, below, _ = times_generators(np.concatenate(rows[:max(n_max, 1)]), sq)
+        rel, col = np.nonzero(self.relations)
+        a, b = invlex_words(num, 2, sq)[col].T
+        coef = self.relations[rel, col]
+        ends = np.searchsorted(rel, np.arange(len(self.relations) + 1)).tolist()
+        out = []
+        for n, monos in enumerate(rows):
+            forms = {}
+            if n >= 2:
+                lower = slice(start[n - 2], start[n - 1])
+                mid = up[lower, b]  # x_b * m in degree n - 1
+                at = start[n - 1] + mid
+                key = np.where(mid >= 0, up[at, a], -1)
+                odd = (below[lower, b] + below[at, a]) % 2 if sq else 0
+                value = np.where(key >= 0, np.where(odd, p - coef, coef), 0)
+                forms = _normal_forms(({k: v for k, v in zip(ks[s:e], vs[s:e]) if v}
+                                       for ks, vs in zip(key.tolist(), value.tolist())
+                                       for s, e in zip(ends, ends[1:])), p)
+            out.append((monos, [i for i in range(len(monos)) if i not in forms], forms))
+        return out
 
 
 def presentation_to_json(pres: QuadraticPresentation) -> dict:
@@ -163,6 +160,9 @@ def presentation_from_json(obj: dict) -> QuadraticPresentation:
     names, rels = obj["generators"], obj["relations"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise TypeError("generators must be a list of strings")
+    for name in names:  # Monomial.parse must read each name back as itself
+        if name in ("", "1") or name != name.strip() or "*" in name or "^" in name:
+            raise ValueError(f"generator name {name!r} cannot be read in a relation term")
     if not isinstance(rels, list) or not all(
             isinstance(rel, list) and all(isinstance(t, dict) for t in rel) for rel in rels):
         raise TypeError("relations must be a list of lists of objects")
@@ -214,17 +214,6 @@ class DegreewiseAlgebra:
     def num_generators(self) -> int:
         return len(self.order)
 
-    def monomial_value(self, mono: Monomial) -> np.ndarray:
-        """Value of a generator-word monomial in A_(deg mono)."""
-        word = mono.word()
-        if not word:
-            return np.ones(1, dtype=np.int64)
-        v = np.zeros(self.dims[1], dtype=np.int64)
-        v[word[-1]] = 1
-        for d, g in enumerate(reversed(word[:-1]), 1):
-            v = (self.gen_action[d][g] @ v) % self.fld.l
-        return v
-
     def word_basis(self, n: int) -> tuple[list[Monomial], np.ndarray]:
         """Invlex-least monomial words whose values form a basis of A_n, and
         the coordinates of the basis of A_n in them.
@@ -234,18 +223,33 @@ class DegreewiseAlgebra:
         are the basis of gr^F A_n: the pivot columns of one `rref` of the
         values of the normal monomials, stacked as columns.  Row i of the
         coordinate matrix writes the basis vector e_i as a combination of the
-        word values (coordinates @ values = I mod l).
+        word values (coordinates @ values = I mod l), in an identity block
+        beside the values.  The monomials of degree k with least generator g
+        are an invlex block, x_g times the last ones of degree k - 1 (on the
+        generators from g on, after g if squarefree): their values are
+        gen_action[k - 1][g] @ those values mod l, each word's product chain.
         """
         if n in self._word_cache:
             return self._word_cache[n]
-        d = self.dims[n]
-        monos = normal_monomials(self.order, n, self.mode) if d else []
-        values = np.array([self.monomial_value(m) for m in monos],
-                          dtype=np.int64).reshape(len(monos), d)
-        pivots = gf.rref(values.T, self.fld.l)[1]
-        if len(pivots) != d:
-            raise ValueError(f"A_{n} is not spanned by monomials in the generators")
-        self._word_cache[n] = ([monos[k] for k in pivots], gf.inverse(values[pivots], self.fld.l))
+        p, num = self.fld.l, self.num_generators
+        sq = self.mode is SymmetryMode.SUPERCOMMUTATIVE
+        values = np.ones((1, 1), dtype=np.int64)
+        for k in range(n + 1):
+            if k == 1:
+                values = np.eye(num, dtype=np.int64)
+            elif k > 1:
+                end = monomial_count(num, k - 1, sq)
+                starts = [end - monomial_count(num - g - sq, k - 1, sq) for g in range(num)]
+                values = np.concatenate([np.zeros((self.dims[k], 0), dtype=np.int64)] +
+                                        [(self.gen_action[k - 1][g] @ values[:, s:]) % p
+                                         for g, s in enumerate(starts)], axis=1)
+            if k not in self._word_cache:
+                d, size = self.dims[k], values.shape[1]
+                red, pivots = gf.rref(np.hstack([values, np.eye(d, dtype=np.int64)]), p)
+                if pivots and pivots[-1] >= size:
+                    raise ValueError(f"A_{k} is not spanned by monomials in the generators")
+                self._word_cache[k] = (row_monomials(exponent_rows(num, k, sq)[pivots]),
+                                       np.ascontiguousarray(red[:, size:].T))
         return self._word_cache[n]
 
     def element_product(self, u: np.ndarray, n: int, v: np.ndarray, m: int) -> np.ndarray:
@@ -291,60 +295,53 @@ def word_action(a: DegreewiseAlgebra, action, dims: list[int], d: int, n: int) -
 
 
 def _monomial_basis_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
-                            bases: list[list[Monomial]], reduce=None) -> DegreewiseAlgebra:
-    """The algebra whose degree-n basis is the list bases[n] of normal monomials.
-
-    x_g acts on a basis monomial by its merge sign (`free_product`), and the
-    product is read in degree n + 1 through reduce(n + 1, product): its
-    normal form as (basis position, value) pairs.  Without reduce the
-    algebra is monomial: the product is itself, and 0 outside the basis.
-    """
+                            bases: list[np.ndarray], forms=None) -> DegreewiseAlgebra:
+    """The algebra whose degree-n basis is the normal monomials of the
+    exponent rows bases[n].  x_g * m, with its merge sign, is looked up in one
+    `times_generators` table; outside the basis it is read through its normal
+    form forms[n + 1][index] over invlex indices, and without forms (a
+    monomial algebra) it is 0."""
     if len(bases) < 3:
         raise ValueError("n_max must be >= 2")
-    p, monomial = fld.l, reduce is None
-    if monomial:
-        index = [{m: i for i, m in enumerate(b)} for b in bases]
-
-        def reduce(n: int, mono: Monomial):
-            return [(index[n][mono], 1)] if mono in index[n] else []
-
+    p, num, sq = fld.l, len(order), mode is SymmetryMode.SUPERCOMMUTATIVE
+    rows = np.concatenate(bases)
+    if sq and (rows > 1).any():
+        raise ValueError("a supercommutative basis monomial must be squarefree")
+    start = np.cumsum([0] + [len(b) for b in bases]).tolist()
+    up, below, index = times_generators(rows, sq)
     gen_action: list[list[np.ndarray]] = []
     for n in range(len(bases) - 1):
-        mats = []
-        for g in range(len(order)):
-            mat = np.zeros((len(bases[n + 1]), len(bases[n])), dtype=np.int64)
-            xg = Monomial.generator(g)
-            for col, mono in enumerate(bases[n]):
-                sign, prod = free_product(xg, mono, mode, p)
-                if prod is not None:
-                    for row, y in reduce(n + 1, prod):
-                        mat[row, col] = sign * y % p
-            mats.append(mat)
-        gen_action.append(mats)
+        pos = np.full(monomial_count(num, n + 1, sq), -1)
+        pos[index[start[n + 1]:start[n + 2]]] = np.arange(len(bases[n + 1]))
+        col, g = np.nonzero(up[start[n]:start[n + 1]] >= 0)
+        prod = up[start[n] + col, g]
+        sign = np.where(below[start[n] + col, g] % 2, p - 1, 1) if sq else np.ones_like(col)
+        mats = np.zeros((num, len(bases[n + 1]), len(bases[n])), dtype=np.int64)
+        hit = pos[prod] >= 0
+        mats[g[hit], pos[prod[hit]], col[hit]] = sign[hit]
+        for c, h, i, s in zip(*(x[~hit].tolist() for x in (col, g, prod, sign))) if forms else ():
+            for j, y in forms[n + 1][i].items():
+                mats[h, pos[j], c] = s * y % p
+        gen_action.append(list(mats))
     return DegreewiseAlgebra(fld, mode, order, len(bases) - 1, [len(b) for b in bases],
-                             gen_action, basis_monomials=bases, monomial=monomial)
+                             gen_action, basis_monomials=[row_monomials(b) for b in bases],
+                             monomial=forms is None)
 
 
 def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra:
     """Expand a presentation into explicit bases and generator actions."""
-    comps = [p.component(n) for n in range(n_max + 1)]
-    index = [{m: i for i, m in enumerate(monos)} for monos, _, _ in comps]
-    pos = [{i: k for k, i in enumerate(basis)} for _, basis, _ in comps]
-
-    def normal_form(n: int, mono: Monomial):
-        i = index[n][mono]
-        return [(pos[n][j], y) for j, y in comps[n][2].get(i, {i: 1}).items()]
-
+    comps = p.components(n_max)
     return _monomial_basis_algebra(p.fld, p.mode, p.order,
-                                   [[monos[i] for i in basis] for monos, basis, _ in comps],
-                                   normal_form)
+                                   [rows[basis] for rows, basis, _ in comps],
+                                   [forms for _, _, forms in comps])
 
 
 def free_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
                  n_max: int) -> DegreewiseAlgebra:
     """The free (super)commutative algebra through n_max, a monomial algebra."""
+    sq = mode is SymmetryMode.SUPERCOMMUTATIVE
     return _monomial_basis_algebra(fld, mode, order,
-                                   [normal_monomials(order, n, mode) for n in range(n_max + 1)])
+                                   [exponent_rows(len(order), n, sq) for n in range(n_max + 1)])
 
 
 @dataclass

@@ -4,7 +4,9 @@ The filtration of A_n by monomials is the canonical degree-1-generated
 extension of the generator filtration: F_m A_n = span of the values of all
 monomials <= m.  A monomial survives when its value leaves the span of the
 values of all strictly smaller monomials (a pivot column of one `rref`, in
-`word_basis`); the survivors are a basis of A and of gr^F A.
+`word_basis`); the survivors are a basis of A and of gr^F A.  The PBW
+checks count each monomial's surviving divisors on exponent rows: x_g * m
+for every survivor m of one degree less, by `times_generators`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import (DegreewiseAlgebra, SymmetryMode, _monomial_basis_algebra,
-                      normal_monomials)
-from .monomials import GeneratorOrder, Monomial, divisors_degree
+from .algebra import DegreewiseAlgebra, SymmetryMode, _monomial_basis_algebra
+from .monomials import (GeneratorOrder, Monomial, exponent_rows, monomial_count, monomial_rows,
+                        row_monomials, times_generators)
 
 
 @dataclass
@@ -27,14 +29,6 @@ class MonomialTruncation:
     mode: SymmetryMode
     n_max: int
     surviving: list[list[Monomial]]  # index = degree, ascending invlex
-
-    def survives(self, m: Monomial) -> bool:
-        return m.degree <= self.n_max and m in self._sets()[m.degree]
-
-    def _sets(self) -> list[set[Monomial]]:
-        if not hasattr(self, "_set_cache"):
-            self._set_cache = [set(s) for s in self.surviving]
-        return self._set_cache
 
 
 @dataclass
@@ -60,26 +54,41 @@ def associated_graded(a: DegreewiseAlgebra) -> MonomialTruncation:
     return g
 
 
+def _surviving_divisors(surviving: list[list[Monomial]], order: GeneratorOrder,
+                        mode: SymmetryMode):
+    """How many divisors of one degree less survive, as products x_g * m of
+    survivors m (surviving[n] of degree n), for each normal monomial of degree
+    n at place start[n] + its invlex index; with start, and the survivors in
+    one list, their exponent rows and their places."""
+    sq, top = mode is SymmetryMode.SUPERCOMMUTATIVE, len(surviving) - 1
+    start = np.cumsum([0] + [monomial_count(len(order), n, sq) for n in range(top + 2)])
+    monos = [m for ms in surviving for m in ms]
+    rows = monomial_rows(monos, len(order))
+    degree = np.repeat(np.arange(top + 1), [len(ms) for ms in surviving])
+    up, _, index = times_generators(rows, sq)
+    keep = (up >= 0) & (degree < top)[:, None]
+    found = np.bincount((start[degree + 1, None] + up)[keep], minlength=start[top + 1])
+    return found, start, monos, rows, start[degree] + index
+
+
 def _divisor_closure_failures(g: MonomialTruncation) -> list[Monomial]:
-    bad = []
-    for n in range(2, g.n_max + 1):
-        for m in g.surviving[n]:
-            if any(not g.survives(d) for d in divisors_degree(m, n - 1)):
-                bad.append(m)
-    return bad
+    """The survivors of degree n >= 2 with a divisor of degree n - 1 that does not."""
+    found, _, monos, rows, place = _surviving_divisors(g.surviving, g.order, g.mode)
+    return [m for m, f, t in zip(monos, found[place], (rows > 0).sum(axis=1))
+            if m.degree >= 2 and f < t]
 
 
-def _degree1_witnesses(surviving: list[list[Monomial]]) -> list[Monomial]:
+def _degree1_witnesses(surviving: list[list[Monomial]], order: GeneratorOrder,
+                       mode: SymmetryMode) -> list[Monomial]:
     """The survivors of degree n >= 2, by degree, that are no generator times
     a survivor of degree n - 1; surviving[n] holds the degree-n survivors."""
-    lower = [set(s) for s in surviving]
-    return [m for n in range(2, len(surviving)) for m in surviving[n]
-            if lower[n - 1].isdisjoint(divisors_degree(m, n - 1))]
+    found, _, monos, _, place = _surviving_divisors(surviving, order, mode)
+    return [m for m, f in zip(monos, found[place]) if m.degree >= 2 and not f]
 
 
 def check_generated_degree1(g: MonomialTruncation) -> tuple[bool, list[Monomial]]:
     """Every degree >= 2 survivor must be generator * (degree n-1 survivor)."""
-    witnesses = _degree1_witnesses(g.surviving)
+    witnesses = _degree1_witnesses(g.surviving, g.order, g.mode)
     return not witnesses, witnesses[:16]
 
 
@@ -87,14 +96,11 @@ def check_quadratic_through3(g: MonomialTruncation) -> tuple[bool, list[Monomial
     """Non-surviving cubics must be divisible by a non-surviving quadratic."""
     if g.n_max < 3:
         return True, []
-    witnesses = []
-    surv3 = set(g.surviving[3])
-    for m in normal_monomials(g.order, 3, g.mode):
-        if m in surv3:
-            continue
-        if all(g.survives(d) for d in divisors_degree(m, 2)):
-            witnesses.append(m)
-    return not witnesses, witnesses[:16]
+    found, start, _, _, place = _surviving_divisors(g.surviving[:4], g.order, g.mode)
+    cubics = exponent_rows(len(g.order), 3, g.mode is SymmetryMode.SUPERCOMMUTATIVE)
+    witness = found[start[3]:] == (cubics > 0).sum(axis=1)
+    witness[place[place >= start[3]] - start[3]] = False
+    return not witness.any(), row_monomials(cubics[witness][:16])
 
 
 def pbw_verdict(a: DegreewiseAlgebra) -> PBWVerdict:
@@ -108,7 +114,8 @@ def pbw_verdict(a: DegreewiseAlgebra) -> PBWVerdict:
 
 def monomial_algebra(g: MonomialTruncation, fld) -> DegreewiseAlgebra:
     """gr^F A as an explicit degreewise algebra with the survivors as basis."""
-    return _monomial_basis_algebra(fld, g.mode, g.order, [list(s) for s in g.surviving])
+    return _monomial_basis_algebra(fld, g.mode, g.order,
+                                   [monomial_rows(s, len(g.order)) for s in g.surviving])
 
 
 def module_surviving_monomials(a: DegreewiseAlgebra, subspace_bases: list[np.ndarray],
@@ -138,5 +145,5 @@ def check_module_generated_degree1(a: DegreewiseAlgebra,
     """
     surv = [[]] + [module_surviving_monomials(a, subspace_bases, n)
                    for n in range(1, len(subspace_bases))]
-    witnesses = sorted(_degree1_witnesses(surv), key=Monomial.sort_key)
+    witnesses = sorted(_degree1_witnesses(surv, a.order, a.mode), key=Monomial.sort_key)
     return not witnesses, witnesses[:16]

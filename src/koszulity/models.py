@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gf
 from .gf import PrimeField, RowSpan
-from .monomials import GeneratorOrder, Monomial
+from .monomials import GeneratorOrder, Monomial, invlex_words
 from .algebra import (DegreewiseAlgebra, QuadraticPresentation, SymmetryMode,
                       _json_int, normal_monomials)
 
@@ -156,14 +156,9 @@ def local_presentation(case: LocalCase) -> QuadraticPresentation:
     fld = PrimeField(case.l)
     order = GeneratorOrder(tuple(f"x{i}" for i in range(case.dim)))
     gram, _ = local_gram(case)
-    quad = normal_monomials(order, 2, case.mode)
-    vals = np.zeros((len(quad), 0 if gram is None else 1), dtype=np.int64)
-    if gram is not None:
-        for k, m in enumerate(quad):
-            g, h = m.word()
-            vals[k, 0] = gram[g, h] % case.l
-    rel = gf.nullspace(vals.T, case.l) if vals.shape[1] else \
-        np.eye(len(quad), dtype=np.int64)
+    words = invlex_words(case.dim, 2, case.mode is SymmetryMode.SUPERCOMMUTATIVE)
+    rel = gf.nullspace(gram[None, words[:, 0], words[:, 1]] % case.l, case.l) \
+        if gram is not None else np.eye(len(words), dtype=np.int64)
     return QuadraticPresentation(fld, case.mode, order, rel)
 
 
@@ -465,8 +460,7 @@ def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
     ngen = len(order)
     labels = d.coord_labels()
     sym = d.symbols()
-    words = np.array([m.word() for m in normal_monomials(order, 2, d.mode)],
-                     dtype=np.int64).reshape(-1, 2)
+    words = invlex_words(ngen, 2, d.mode is SymmetryMode.SUPERCOMMUTATIVE)
     basis, pivots = gf.rref(sym[words[:, 0], words[:, 1]], p)
     dim2 = basis.shape[0]
     # the basis is in reduced echelon form: a vector of its span has its

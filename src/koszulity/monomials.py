@@ -5,14 +5,20 @@ degree are compared by the degreewise inverse lexicographical order: the
 first generator (by rank) whose exponents differ decides, and the *larger*
 exponent wins as the *smaller* monomial.  So x0*x3 < x1*x2 on four
 generators, and x0^2 < x0*x1.
+
+The package computes on exponent rows, one int64 row per monomial:
+`exponent_rows` lists a degree in ascending invlex order, and
+`times_generators` places m and every x_g * m in those lists in closed form.
+`Monomial` objects are made only for the lists that callers keep.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-LT, EQ, GT = -1, 0, 1
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,11 +47,13 @@ class Monomial:
     exps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ranks = [r for r, _ in self.exps]
-        if ranks != sorted(set(ranks)):
-            raise ValueError("exponents must be sorted by rank, without repeats")
-        if any(e <= 0 for _, e in self.exps):
-            raise ValueError("zero exponents must not be stored")
+        last = None
+        for r, e in self.exps:
+            if last is not None and r <= last:
+                raise ValueError("exponents must be sorted by rank, without repeats")
+            if e <= 0:
+                raise ValueError("zero exponents must not be stored")
+            last = r
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -63,12 +71,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exponent(self, rank: int) -> int:
-        for r, e in self.exps:
-            if r == rank:
-                return e
-        return 0
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
 
@@ -78,9 +80,6 @@ class Monomial:
     def word(self) -> tuple[int, ...]:
         """Generator ranks with multiplicity, ascending."""
         return tuple(r for r, e in self.exps for _ in range(e))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(other.exponent(r) >= e for r, e in self.exps)
 
     def sort_key(self) -> tuple:
         """Ascending sort by this key = ascending inverse-lex order."""
@@ -102,15 +101,17 @@ class Monomial:
             return cls.unit()
         d: dict[int, int] = {}
         for part in s.split("*"):
-            if "^" in part:
-                name, exp = part.split("^")
-                e = int(exp)
-                if e <= 0:
-                    raise ValueError(f"exponent {exp.strip()} of {name.strip()} in {s!r} "
-                                     "is not positive")
-            else:
-                name, e = part, 1
-            r = order.rank(name.strip())
+            name, caret, exp = (x.strip() for x in part.partition("^"))
+            try:
+                e = int(exp) if caret else 1
+            except ValueError:
+                e = None
+            if not name or e is None:
+                raise ValueError(f"factor {part!r} of {s!r} is not a generator "
+                                 "or generator^exponent")
+            if e <= 0:
+                raise ValueError(f"exponent {exp} of {name} in {s!r} is not positive")
+            r = order.rank(name)
             d[r] = d.get(r, 0) + e
         return cls.from_dict(d)
 
@@ -122,47 +123,72 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return Monomial.from_dict(d)
 
 
-def invlex_compare(a: Monomial, b: Monomial) -> int:
-    """Inverse-lex comparison of equal-degree monomials: LT(-1), EQ(0), GT(1)."""
-    if a.degree != b.degree:
-        raise ValueError("invlex_compare requires equal degrees")
-    da, db = dict(a.exps), dict(b.exps)
-    for r in sorted(set(da) | set(db)):
-        ea, eb = da.get(r, 0), db.get(r, 0)
-        if ea != eb:
-            # larger exponent on the earlier generator means smaller monomial
-            return LT if ea > eb else GT
-    return EQ
+def monomial_count(num: int, degree: int, squarefree: bool) -> int:
+    """The number of degree-n monomials on num generators."""
+    return math.comb(num, degree) if squarefree else math.comb(max(num + degree - 1, 0), degree)
 
 
-def mono_enumerate(order: GeneratorOrder, degree: int, squarefree: bool) -> list[Monomial]:
-    """All degree-n monomials (squarefree only if flagged), ascending invlex."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    m = len(order)
-    out: list[Monomial] = []
+def invlex_words(num: int, degree: int, squarefree: bool) -> np.ndarray:
+    """The words (ranks with multiplicity, ascending) of all degree-n monomials
+    on num generators (squarefree only if flagged), ascending invlex, which
+    is the order of itertools' combinations."""
+    pick = itertools.combinations if squarefree else itertools.combinations_with_replacement
+    count = monomial_count(num, degree, squarefree)
+    return np.fromiter(itertools.chain.from_iterable(pick(range(num), degree)),
+                       dtype=np.int64, count=count * degree).reshape(count, degree)
+
+
+def exponent_rows(num: int, degree: int, squarefree: bool) -> np.ndarray:
+    """The exponent rows of `invlex_words`, in the same order."""
+    words = invlex_words(num, degree, squarefree)
+    rows = np.zeros((len(words), num), dtype=np.int64)
+    for column in words.T:
+        rows[np.arange(len(words)), column] += 1
+    return rows
+
+
+def _index_terms(rows: np.ndarray, tail: np.ndarray, squarefree: bool) -> np.ndarray:
+    """Term r of the invlex index of each row, given its degree after rank r
+    (tail): the monomials of its degree that agree with it before r and exceed
+    it at r, C(tail + num - r - 2, tail - 1); squarefree, those with a 1 for
+    its 0 at r and tail - 1 later ranks, C(num - r - 1, tail - 1)."""
+    num, rank = rows.shape[1], np.arange(rows.shape[1])
     if squarefree:
-        for ranks in itertools.combinations(range(m), degree):
-            out.append(Monomial(tuple((r, 1) for r in ranks)))
+        live, top = (tail > 0) & (rows == 0), num - 1 - rank
     else:
-        for ranks in itertools.combinations_with_replacement(range(m), degree):
-            d: dict[int, int] = {}
-            for r in ranks:
-                d[r] = d.get(r, 0) + 1
-            out.append(Monomial.from_dict(d))
-    out.sort(key=Monomial.sort_key)
-    return out
+        live, top = tail > 0, tail + (num - 2) - rank
+    # dead terms may index -1, valid in a table of at least one row and column
+    comb = np.array([[math.comb(a, b) for b in range(max(int(tail.max(initial=0)), 1))]
+                     for a in range(max(int(np.max(top, initial=0)), 0) + 1)], dtype=np.int64)
+    return comb[top, tail - 1] * live
 
 
-def divisors_degree(m: Monomial, d: int) -> list[Monomial]:
-    """All degree-d monomials dividing m, ascending invlex."""
-    if not 0 <= d <= m.degree:
-        raise ValueError("divisor degree out of range")
-    ranks = [r for r, _ in m.exps]
-    choices = [range(min(e, d) + 1) for _, e in m.exps]
-    out = []
-    for combo in itertools.product(*choices):
-        if sum(combo) == d:
-            out.append(Monomial.from_dict({r: e for r, e in zip(ranks, combo) if e}))
-    out.sort(key=Monomial.sort_key)
-    return out
+def times_generators(rows: np.ndarray,
+                     squarefree: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each exponent row m (of any degree) and generator g: the invlex
+    index of x_g * m, its place in `exponent_rows`, or -1 where it vanishes
+    (squarefree, g divides m); m's factors below g, whose parity is the merge
+    sign of x_g * m in the free supercommutative algebra; and m's own index.
+    An index sums its terms over the ranks, and x_g raises the tail of the
+    ranks before g by one."""
+    below = np.cumsum(rows, axis=1) - rows
+    tail = rows.sum(axis=1, keepdims=True) - below - rows
+    same, more = _index_terms(rows, np.stack([tail, tail + 1]), squarefree)
+    after = np.cumsum(same[:, ::-1], axis=1)[:, ::-1]
+    up = np.cumsum(more, axis=1) - more + after
+    if squarefree:  # rank g now holds exponent 1: no term
+        up -= same
+        up[rows > 0] = -1
+    return up, below, after[:, 0] if rows.shape[1] else np.zeros(len(rows), dtype=np.int64)
+
+
+def monomial_rows(monos: list[Monomial], num: int) -> np.ndarray:
+    """The exponent rows of a list of monomials on num generators."""
+    exps = [dict(m.exps) for m in monos]
+    return np.array([[e.get(r, 0) for r in range(num)] for e in exps],
+                    dtype=np.int64).reshape(len(monos), num)
+
+
+def row_monomials(rows: np.ndarray) -> list[Monomial]:
+    """The monomials of exponent rows."""
+    return [Monomial(tuple((r, e) for r, e in enumerate(row) if e)) for row in rows.tolist()]

@@ -16,18 +16,20 @@ from hypothesis import given, settings, strategies as st
 
 from koszulity.algebra import (QuadraticPresentation, SymmetryMode,
                                augmentation_module, degreewise_expand,
-                               free_algebra, free_product, ideal_module,
+                               free_algebra, ideal_module,
                                normal_monomials, presentation_from_json,
                                presentation_to_json)
 from koszulity import gf
 from koszulity.gf import PrimeField, RowSpan
-from koszulity.monomials import Monomial, mono_enumerate
+from koszulity.monomials import Monomial, row_monomials
+from koszulity.graphs import all_graphs, graph_algebra
 from koszulity.models import (MINIMAL_DIMS, LocalCase, build_annihilator,
                               build_global_general, build_global_symplectic,
                               build_local, build_noroot, datum_to_algebra)
 
-from conftest import (exterior_algebra, gen_order, polynomial_algebra,
-                      presentation_from_strings, random_presentation)
+from conftest import (exterior_algebra, free_product, gen_order, mono_enumerate,
+                      monomial_value, polynomial_algebra, presentation_from_strings,
+                      random_presentation)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,7 +93,7 @@ def component_dim(pres, n) -> int:
     """dim A_n by the dense reference, after checking that the sparse
     component has the same standard monomials."""
     ref = dense_component(pres, n)
-    assert pres.component(n)[1] == ref.basis
+    assert pres.components(n)[n][1] == ref.basis
     return ref.dim
 
 
@@ -153,10 +155,9 @@ class TestComponent:
         for pres in product_core_cases():
             l = pres.fld.l
             assert (echelon_descending(pres.relations, l) == pres.relations).all()
-            for n in range(5):
+            for n, (rows, basis, forms) in enumerate(pres.components(4)):
                 ref = dense_component(pres, n)
-                monos, basis, forms = pres.component(n)
-                assert (monos, basis) == (ref.monomials, ref.basis)
+                assert (row_monomials(rows), basis) == (ref.monomials, ref.basis)
                 proj = np.zeros_like(ref.projection)
                 proj[basis, range(len(basis))] = 1
                 for i, form in forms.items():
@@ -196,7 +197,7 @@ class TestDegreewiseExpand:
         for n in range(1, 5):
             span = RowSpan(a.dims[n], 3)
             for m in mono_enumerate(a.order, n, False):
-                span.add(a.monomial_value(m))
+                span.add(monomial_value(a, m))
             assert span.dim == a.dims[n]
 
 
@@ -283,7 +284,7 @@ class TestProductCore:
             l = pres.fld.l
             for n in range(self.N_MAX + 1):
                 words, coords = a.word_basis(n)
-                values = np.array([a.monomial_value(w) for w in words],
+                values = np.array([monomial_value(a, w) for w in words],
                                   dtype=np.int64).reshape(len(words), a.dims[n])
                 assert ((coords @ values) % l == np.eye(a.dims[n], dtype=np.int64)).all()
                 # the survivors are the expansion's standard monomials, and
@@ -314,7 +315,7 @@ class TestProductCore:
                     got = over_lam.action_matrix(d, n)
                     assert got is not a.mult_matrix(d, n) and got is not lam.mult_matrix(d, n)
                     words, coords = lam.word_basis(d)
-                    proj = (coords @ np.array([a.monomial_value(w) for w in words],
+                    proj = (coords @ np.array([monomial_value(a, w) for w in words],
                                               dtype=np.int64).reshape(len(words), a.dims[d])) % l
                     mult = a.mult_matrix(d, n).reshape(a.dims[n + d], a.dims[d], a.dims[n])
                     want = np.einsum("rue,iu->rie", mult, proj) % l
@@ -483,7 +484,7 @@ def greedy_word_basis(a, n):
     for mono in normal_monomials(a.order, n, a.mode):
         if span.dim == a.dims[n]:
             break
-        v = a.monomial_value(mono)
+        v = monomial_value(a, mono)
         if span.add(v):
             words.append(mono)
             vals.append(v)
@@ -523,3 +524,75 @@ def test_word_basis_matches_greedy_scan():
             assert coords.shape == want_coords.shape and (coords == want_coords).all()
             identity &= (coords == np.eye(a.dims[n], dtype=np.int64)).all()
     assert not identity
+
+
+def reference_word_basis(a, n):
+    """`word_basis` before the value recurrence: every normal monomial
+    valued word by word, one `rref` for the pivots and `gf.inverse` for the
+    coordinates."""
+    d, sq = a.dims[n], a.mode is SymmetryMode.SUPERCOMMUTATIVE
+    monos = mono_enumerate(a.order, n, sq) if d else []
+    values = np.array([monomial_value(a, m) for m in monos],
+                      dtype=np.int64).reshape(len(monos), d)
+    pivots = gf.rref(values.T, a.fld.l)[1]
+    return [monos[k] for k in pivots], gf.inverse(values[pivots], a.fld.l)
+
+
+def word_basis_cases():
+    """Expanded presentations (both modes, l in {2, 3, 5, 7}), the symbol
+    algebras, free algebras on 0 to 2 generators, and graph algebras on 4
+    and 5 vertices."""
+    for mode in SymmetryMode:
+        for l in (2, 3, 5, 7):
+            for seed in range(4):
+                rng = random.Random(f"words:{mode.value}:{l}:{seed}")
+                pres = random_presentation(rng, l, mode, rng.randint(2, 5), rng.randint(1, 4))
+                yield degreewise_expand(pres, 4)
+    yield from symbol_algebras()
+    for mode in SymmetryMode:
+        for n in range(3):
+            yield free_algebra(PrimeField(3), mode, gen_order(n), 4)
+    for n in (4, 5):
+        for t in list(all_graphs(n))[::7]:
+            yield graph_algebra(t, PrimeField(2), n_max=5)
+
+
+def test_word_basis_matches_reference():
+    for a in word_basis_cases():
+        for n in range(a.n_max + 1):
+            words, coords = a.word_basis(n)
+            want_words, want_coords = reference_word_basis(a, n)
+            assert words == want_words
+            assert coords.shape == want_coords.shape and coords.dtype == want_coords.dtype
+            assert coords.tobytes() == want_coords.tobytes()
+
+
+def reference_monomial_basis_algebra(a):
+    """The generator actions of a monomial algebra with a's bases, by the
+    object route: x_g times each basis monomial through `free_product`."""
+    p = a.fld.l
+    index = [{m: i for i, m in enumerate(b)} for b in a.basis_monomials]
+    out = []
+    for n in range(a.n_max):
+        mats = []
+        for g in range(a.num_generators):
+            mat = np.zeros((a.dims[n + 1], a.dims[n]), dtype=np.int64)
+            for col, mono in enumerate(a.basis_monomials[n]):
+                sign, prod = free_product(Monomial.generator(g), mono, a.mode, p)
+                if prod in index[n + 1]:
+                    mat[index[n + 1][prod], col] = sign
+            mats.append(mat)
+        out.append(mats)
+    return out
+
+
+def test_monomial_algebras_match_reference():
+    # free algebras (both modes, 0-6 generators) and graph algebras
+    cases = [free_algebra(PrimeField(l), mode, gen_order(n), n_max)
+             for mode in SymmetryMode for l in (2, 3, 5) for n in range(7)
+             for n_max in (2, 5)]
+    cases += [graph_algebra(t, PrimeField(3), n_max=4) for t in list(all_graphs(5))[::9]]
+    for a in cases:
+        want = reference_monomial_basis_algebra(a)
+        assert [[m.tobytes() for m in mats] for mats in a.gen_action] == \
+            [[m.tobytes() for m in mats] for mats in want]

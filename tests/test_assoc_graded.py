@@ -9,14 +9,15 @@ import pytest
 from koszulity.algebra import (SymmetryMode, degreewise_expand, ideal_module,
                                normal_monomials)
 from koszulity.gf import PrimeField, rank
-from koszulity.graded import (MonomialTruncation, associated_graded,
+from koszulity.graded import (MonomialTruncation, _divisor_closure_failures, associated_graded,
                               check_generated_degree1,
                               check_module_generated_degree1,
                               check_quadratic_through3, module_surviving_monomials,
                               monomial_algebra, pbw_verdict, surviving_monomials)
-from koszulity.monomials import GeneratorOrder, Monomial, mono_enumerate
+from koszulity.monomials import GeneratorOrder, Monomial
 
-from conftest import (exterior_algebra, gen_order, polynomial_algebra,
+from conftest import (divisors_degree, exterior_algebra, gen_order, mono_enumerate,
+                      monomial_value, polynomial_algebra,
                       presentation_from_strings, random_presentation)
 
 
@@ -87,7 +88,6 @@ class TestAssociatedGraded:
             for n in range(2, 5):
                 surv = set(g.surviving[n - 1])
                 for m in g.surviving[n]:
-                    from koszulity.monomials import divisors_degree
                     assert all(d in surv for d in divisors_degree(m, n - 1))
 
     def test_order_change_preserves_cardinalities(self):
@@ -170,7 +170,7 @@ class TestMonomialAlgebra:
         gr = monomial_algebra(associated_graded(a), a.fld)
         # product of two basis monomials is again +/- a basis monomial or zero
         for m in mono_enumerate(a.order, 2, True):
-            v = gr.monomial_value(m)
+            v = monomial_value(gr, m)
             assert (v != 0).sum() <= 1
 
 
@@ -207,7 +207,7 @@ class TestModuleFiltration:
             for n in range(1, a.n_max + 1):
                 expected, values, prev = [], [], 0
                 for mono in normal_monomials(a.order, n, a.mode):
-                    values.append(a.monomial_value(mono))
+                    values.append(monomial_value(a, mono))
                     filt = np.array(values).reshape(len(values), a.dims[n])
                     cap = bases[n].shape[0] + rank(filt, l) \
                         - rank(np.vstack([bases[n], filt]), l)
@@ -227,3 +227,51 @@ class TestModuleFiltration:
         for n in range(1, 5):
             assert len(module_surviving_monomials(a, m.subspace_bases, n)) \
                 == m.dims[n]
+
+
+def reference_pbw_checks(g):
+    """The divisor closure failures, degree-1 witnesses and
+    quadratic-through-3 witnesses of a truncation by the object route: the
+    divisors of each monomial, looked up in sets of survivors."""
+    sets = [set(ms) for ms in g.surviving]
+
+    def survives(m):
+        return m.degree <= g.n_max and m in sets[m.degree]
+
+    closure = [m for n in range(2, g.n_max + 1) for m in g.surviving[n]
+               if any(not survives(d) for d in divisors_degree(m, n - 1))]
+    degree1 = [m for n in range(2, g.n_max + 1) for m in g.surviving[n]
+               if sets[n - 1].isdisjoint(divisors_degree(m, n - 1))]
+    quad3 = [] if g.n_max < 3 else [
+        m for m in mono_enumerate(g.order, 3, g.mode is SymmetryMode.SUPERCOMMUTATIVE)
+        if m not in sets[3] and all(survives(d) for d in divisors_degree(m, 2))]
+    return closure, degree1, quad3
+
+
+def test_pbw_checks_match_reference():
+    # 224 seeded presentations, and random subsets of their survivors, which
+    # break divisor closure and degree-1 generation in many places
+    cases = 0
+    for mode in SymmetryMode:
+        for l in (2, 3, 5, 7):
+            for seed in range(28):
+                rng = random.Random(f"pbw:{mode.value}:{l}:{seed}")
+                pres = random_presentation(rng, l, mode, rng.randint(2, 5), rng.randint(1, 5))
+                a = degreewise_expand(pres, rng.randint(3, 4))
+                cases += 1
+                g = associated_graded(a)
+                closure, degree1, quad3 = reference_pbw_checks(g)
+                assert closure == []
+                got = pbw_verdict(a)
+                assert got.certificate == g.surviving
+                assert (got.generated_in_degree_1, got.quadratic_through_3, got.koszul) == \
+                    (not degree1, not quad3, not degree1 and not quad3)
+                assert got.failures == (degree1[:16] + quad3[:16])[:16]
+                thin = MonomialTruncation(g.order, g.mode, g.n_max,
+                                          [[m for m in ms if rng.random() < 0.7]
+                                           for ms in g.surviving])
+                closure, degree1, quad3 = reference_pbw_checks(thin)
+                assert _divisor_closure_failures(thin) == closure
+                assert check_generated_degree1(thin) == (not degree1, degree1[:16])
+                assert check_quadratic_through3(thin) == (not quad3, quad3[:16])
+    assert cases >= 200

@@ -503,7 +503,13 @@ def test_unflagged_real_place_exits_2(capsys, monkeypatch, command):
 @pytest.mark.parametrize("mono,message", [
     ("x0*z", "unknown generator 'z'"),
     ("x0^-1*x1^3", "exponent -1 of x0 in 'x0^-1*x1^3' is not positive"),
-], ids=["unknown-generator", "negative-exponent"])
+    ("x0^2^3", "factor 'x0^2^3' of 'x0^2^3' is not a generator"),
+    ("x0^a", "factor 'x0^a' of 'x0^a' is not a generator"),
+    ("x0^", "factor 'x0^' of 'x0^' is not a generator"),
+    ("x0**x1", "factor '' of 'x0**x1' is not a generator"),
+    ("*x1", "factor '' of '*x1' is not a generator"),
+], ids=["unknown-generator", "negative-exponent", "two-carets", "letter-exponent",
+        "empty-exponent", "double-star", "leading-star"])
 @pytest.mark.parametrize("command", ["tor", "check"])
 def test_relation_term_errors_name_the_term(capsys, monkeypatch, command, mono, message):
     obj = exterior2_presentation()
@@ -512,3 +518,18 @@ def test_relation_term_errors_name_the_term(capsys, monkeypatch, command, mono, 
                          monkeypatch=monkeypatch)
     assert_one_error_line(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("name", ["", "1", "x^1", "x*y", " x", "x "],
+                         ids=["empty", "one", "caret", "star", "leading-space", "trailing-space"])
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_unreadable_generator_names_exit_2(capsys, monkeypatch, command, name):
+    # with generators ["x^1", "x"], "x^1*x" used to parse as x^2 and give the
+    # table of the wrong relation; a relation term could never name such a
+    # generator, so the name itself is refused
+    obj = {"l": 3, "mode": "comm", "generators": [name, "x"],
+           "relations": [[{"mono": "x*x", "coef": 1}]]}
+    code, out, err = run(capsys, command, "-", "--max-j", "2", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert f"generator name {name!r}" in err

@@ -101,6 +101,12 @@ class TestGraphAlgebra:
         a = graph_algebra(t, PrimeField(2), mode=SymmetryMode.COMMUTATIVE)
         assert a.dims[2] == 2
 
+    def test_loops_need_commutative_mode(self):
+        # x_a^2 vanishes in a supercommutative algebra, so it is no basis monomial
+        t = QuadGraph.build(("a", "b"), [(0, 1)], loops=[0])
+        with pytest.raises(ValueError, match="squarefree"):
+            graph_algebra(t, PrimeField(2))
+
 
 def free_cover(t, fld, n_max=5):
     order = GeneratorOrder(t.vertices)

@@ -27,10 +27,11 @@ from koszulity.homology import (TorKind, TorTable, _series_quotient,
                                 resolution_tor_algebra, resolution_tor_module,
                                 tor_algebra, tor_module)
 from koszulity.models import build_global_symplectic, datum_to_algebra
-from koszulity.monomials import GeneratorOrder, Monomial, divisors_degree
+from koszulity.monomials import GeneratorOrder, Monomial
 
-from conftest import (exterior_algebra, gen_order, polynomial_algebra,
-                      presentation_from_strings, random_presentation)
+from conftest import (divisors_degree, exterior_algebra, gen_order,
+                      polynomial_algebra, presentation_from_strings,
+                      random_presentation)
 
 
 def diag_table(kind, entries, i_max=4, j_max=4):

@@ -3,14 +3,16 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulity.monomials import (EQ, GT, LT, GeneratorOrder, Monomial,
-                                 divisors_degree, invlex_compare,
-                                 mono_enumerate, mono_mul)
+from koszulity.monomials import (GeneratorOrder, Monomial, exponent_rows, invlex_words,
+                                 monomial_count, monomial_rows, mono_mul, row_monomials,
+                                 times_generators)
 
-from conftest import gen_order
+from conftest import (EQ, GT, LT, divisors_degree, gen_order, invlex_compare,
+                      mono_enumerate)
 
 
 def mono(*ranks) -> Monomial:
@@ -129,7 +131,7 @@ class TestDivisors:
         m = mono(0, 1, 2, 2)
         for d in range(m.degree + 1):
             for q in divisors_degree(m, d):
-                assert q.divides(m)
+                assert all(dict(m.exps).get(r, 0) >= e for r, e in q.exps)
 
 
 def test_multiplicativity_exhaustive():
@@ -156,3 +158,44 @@ def test_total_order_transitive():
        st.lists(st.integers(0, 3), min_size=0, max_size=6))
 def test_mul_commutes(xs, ys):
     assert mono_mul(mono(*xs), mono(*ys)) == mono_mul(mono(*ys), mono(*xs))
+
+
+@pytest.mark.parametrize("squarefree", [True, False])
+def test_exponent_rows_match_mono_enumerate(squarefree):
+    # the array enumerator against the object route, past the generator
+    # count in super mode (no monomials there)
+    for num in range(8):
+        for degree in range(7):
+            want = mono_enumerate(gen_order(num), degree, squarefree)
+            rows = exponent_rows(num, degree, squarefree)
+            assert rows.shape == (len(want), num) == (monomial_count(num, degree, squarefree), num)
+            assert row_monomials(rows) == want
+            assert (monomial_rows(want, num) == rows).all()
+            assert [tuple(w) for w in invlex_words(num, degree, squarefree).tolist()] == \
+                [m.word() for m in want]
+
+
+@pytest.mark.parametrize("squarefree", [True, False])
+def test_times_generators_match_mono_mul(squarefree):
+    # rows of mixed degrees in one call, each placed within its own degree
+    for num in range(1, 7):
+        degrees = range(6)
+        lists = [mono_enumerate(gen_order(num), d, squarefree) for d in range(7)]
+        rows = np.concatenate([exponent_rows(num, d, squarefree) for d in degrees])
+        up, below, index = times_generators(rows, squarefree)
+        monos = [m for d in degrees for m in lists[d]]
+        assert index.tolist() == [lists[m.degree].index(m) for m in monos]
+        for k, m in enumerate(monos):
+            for g in range(num):
+                prod = mono_mul(Monomial.generator(g), m)
+                if squarefree and not prod.is_squarefree():
+                    assert up[k, g] == -1
+                else:
+                    assert up[k, g] == lists[prod.degree].index(prod)
+                assert below[k, g] == sum(e for r, e in m.exps if r < g)
+
+
+@pytest.mark.parametrize("term", ["x^2^3", "x^a", "x^", "x**y", "*y", "x^^2"])
+def test_parse_names_the_bad_factor(term):
+    with pytest.raises(ValueError, match="is not a generator or generator\\^exponent"):
+        Monomial.parse(term, GeneratorOrder(("x", "y")))

@@ -110,3 +110,52 @@ class TestBenchPairs:
         s = bp.summarize(_runs([p + 6 for p in parent], parent), {"m": "lower"})
         assert bp.claim(s, "w", "m", "lower")["met"]
         assert not bp.claim(s, "w", "m", "higher")["met"]
+
+
+def _counted_runs(parent: list[tuple], change: list[tuple]) -> list[dict]:
+    """Paired runs of one workload with metric m = 10 (parent) or 20
+    (change), from (attempted, failed, correct) per run."""
+    return [{"workload": "w", "seed": seed, "side": side, "position": 1,
+             "result": {"attempted": a, "failed": f, "correct": ok,
+                        "metrics": {"m": {"value": value}}}}
+            for seed, pair in enumerate(zip(parent, change))
+            for side, value, (a, f, ok) in zip(("parent", "change"), (10.0, 20.0), pair)]
+
+
+class TestBenchPairsCounts:
+    def test_counts_per_workload_and_side(self):
+        bp = bench_pairs()
+        runs = _counted_runs([(100, 0, True), (90, 1, True)], [(120, 2, True), (80, 0, False)])
+        assert bp.run_counts(runs) == {"w": {
+            "parent": {"runs": 2, "attempted": 190, "failed": 1, "incorrect_runs": 0},
+            "change": {"runs": 2, "attempted": 200, "failed": 2, "incorrect_runs": 1}}}
+
+    def test_claim_needs_correct_runs_and_no_larger_failed_share(self):
+        bp = bench_pairs()
+
+        def met(parent, change):
+            runs = _counted_runs(parent, change)
+            s = bp.summarize(runs, {"m": "higher"})
+            assert bp.claim(s, "w", "m", "higher")["met"]  # the metric alone wins
+            return bp.claim(s, "w", "m", "higher", bp.run_counts(runs))["met"]
+
+        clean = [(100, 0, True)] * 10
+        assert met(clean, clean)
+        # one change run marked wrong
+        assert not met(clean, clean[:9] + [(100, 0, False)])
+        # an incorrect parent run does not count against the change
+        assert met(clean[:9] + [(100, 0, False)], clean)
+        # 1 failed in 1000 attempted against none
+        assert not met(clean, clean[:9] + [(100, 1, True)])
+        # the same failed share, 1%, on more operations
+        assert met([(100, 1, True)] * 10, [(200, 2, True)] * 10)
+        assert not met([(100, 1, True)] * 10, [(100, 2, True)] * 10)
+
+    def test_counts_of_a_committed_bench_file(self):
+        bp = bench_pairs()
+        bench = json.loads((ROOT / "BENCH_17.json").read_text())
+        counts = bp.run_counts(bench["runs"])
+        for workload, sides in counts.items():
+            assert set(sides) == {"parent", "change"}
+            assert all(c["runs"] == 10 and c["attempted"] > 0 for c in sides.values())
+        assert bp.counts_ok(counts)
