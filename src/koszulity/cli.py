@@ -13,6 +13,7 @@ uncaught exception, such as a failed d^2=0 check; every command).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,6 +211,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: each parse_args makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="koszulity",

@@ -6,8 +6,8 @@ kernels, solving, inverses and the PBW survivor scan read its result.  The
 one sparse elimination, `dict_pivots`, on {index: value} vectors of Python
 ints, returns its greatest-index pivots with their echelon vectors: the
 pivots give the bottom-up ranks of the bar and Koszul complexes and the
-resolution's generators, and the vectors give the degreewise expansion its
-standard monomials and normal forms.  Nothing in the package calls
+resolution's generators, the vectors the expansion's standard monomials and
+normal forms and the resolution's kernels.  Nothing in the package calls
 `sparse_rank`.  `RowSpan` serves only the two random isotropic extensions,
 drawn by `random_combination`, whose insertion-order rows `gen` writes.
 
@@ -118,12 +118,7 @@ def bilinear(u: np.ndarray, gram: np.ndarray, v: np.ndarray, p: int) -> np.ndarr
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Right kernel of a: rows of the result v satisfy a @ v = 0 mod p.  Row k
     ends at the k-th free column with a 1, where the other rows are 0."""
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
+    n = np.shape(a)[1]
     red, pivots = rref(a, p)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
@@ -247,7 +242,7 @@ class SparseMatrixGF:
         return cols
 
 
-def dict_pivots(vectors, p: int) -> dict[int, tuple[int, dict[int, int]]]:
+def dict_pivots(vectors, p: int, bound=None) -> dict[int, tuple[int, dict[int, int]]]:
     """The greatest-index pivots mod p of an iterable of vectors, {index:
     value} dicts or (index, value) pairs with no zeros stored: the last
     indices of an echelon basis of their span, where every nonzero vector of
@@ -266,7 +261,11 @@ def dict_pivots(vectors, p: int) -> dict[int, tuple[int, dict[int, int]]]:
     Koszul differential of the 9-generator symplectic module at (5, 6)
     streams, the least column of a row is shared by more rows than its
     greatest (3.5 against 1.5 on average), so least-index pivots there take
-    4.9 times the reduction steps and store 2.1 times the entries.
+    4.9 times the reduction steps and store 2.1 times the entries.  Indices
+    may be negative: `homology._kernel` marks each column of a map below its
+    rows, and reads its kernel off the pivots with negative leads.  With
+    `bound` it stops at that many pivots, exact when the span lies in a space
+    of dimension `bound` (A_1 K_(j-1) in K_j): the rest reduce to 0.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for v in map(dict, vectors):
@@ -274,6 +273,8 @@ def dict_pivots(vectors, p: int) -> dict[int, tuple[int, dict[int, int]]]:
             lead = max(v)
             if lead not in pivots:
                 pivots[lead] = (pow(v[lead], p - 2, p), v)
+                if len(pivots) == bound:
+                    return pivots
                 break
             inv, piv = pivots[lead]
             f = v[lead] * inv % p

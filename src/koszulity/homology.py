@@ -30,7 +30,7 @@ Three engines compute the same module table:
   of degree-j minimal generators of the i-th syzygy module K, by the graded
   Nakayama rule (A_+ K)_j = A_1 K_{j-1} (A is generated in degree 1): the
   kernel vectors that end outside the greatest-index pivots of A_1 K_{j-1}.
-  Its products are `_product`s of action tables, its kernels `gf.nullspace`;
+  Its products are `_product`s of action tables, its kernels `_kernel`s;
 * the Koszul complex M (x) Gamma, for modules over a free exterior algebra:
   tier i is M_e (x) Gamma_i for every e >= 1, each basis vector tagged with
   its degree e + i, and each d is built for all degrees at once by
@@ -446,9 +446,18 @@ class _Layout:
         return self.tables[(d, j)]
 
 
-def _by_rows(mat: np.ndarray) -> tuple:
-    """A dense matrix by compressed rows, columns ascending."""
-    return _compress(*np.nonzero(mat)[::-1], mat[mat != 0], len(mat))
+def _kernel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int, p: int) -> tuple:
+    """`gf.nullspace` of the map with entries (rows, cols, vals) and ncols columns: the free
+    column each basis vector ends at, and the vectors by compressed columns.  Column c, with
+    a 1 at c - ncols below every row, streams into `gf.dict_pivots` in ascending order; if its
+    row part reduces to 0, its pivot, read at index + ncols, is that unique kernel vector."""
+    stream = (col + [(c - ncols, 1)]
+              for c, col in enumerate(_stream(*_compress(rows, cols, vals, ncols))))
+    ker = [(lead, vec) for lead, (_, vec) in gf.dict_pivots(stream, p).items() if lead < 0]
+    ptr = np.cumsum([0] + [len(vec) for _, vec in ker])
+    idx, vals = (np.fromiter(itertools.chain.from_iterable(part), np.int64, ptr[-1])
+                 for part in ((vec.keys() for _, vec in ker), (vec.values() for _, vec in ker)))
+    return np.array([lead for lead, _ in ker], dtype=np.int64) + ncols, (ptr, idx + ncols, vals)
 
 
 def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
@@ -457,43 +466,41 @@ def _resolution_table(a: DegreewiseAlgebra, m: ModuleTruncation,
     generators K_i / A_1 K_i of the i-th kernel K_i in F_(i-1) = A (x) V_(i-1),
     with K_0 = M, by the graded Nakayama rule (A_+ K)_j = A_1 K_(j-1).
 
-    The basis rows of K_j end at distinct columns (K_0 is the identity, later
-    bases come from `gf.nullspace`), so every vector of A_1 K_(j-1) ends at
-    one of them, and the rows ending outside its greatest-index pivots lift
-    a basis of K_j / A_1 K_(j-1): they are taken as V_(i,j)."""
+    The basis vectors of K_j (`_kernel`s, K_0 that of M -> 0) end at distinct
+    columns, so every vector of A_1 K_(j-1) ends at one of them, and those
+    ending outside its greatest-index pivots, found by dim K_j at most, lift a
+    basis of K_j / A_1 K_(j-1): they are taken as V_(i,j)."""
     p = a.fld.l
     dims: dict[tuple[int, int], int] = {}
-    layout = _Layout(m.dims, m.action_matrix, [(0, 1)])
-    kernels = {j: np.eye(m.dims[j], dtype=np.int64)
-               for j in range(1, j_max + 1) if m.dims[j]}
+    layout, empty = _Layout(m.dims, m.action_matrix, [(0, 1)]), np.zeros((3, 0), dtype=np.int64)
+    kernels = {j: _kernel(*empty, m.dims[j], p) for j in range(1, j_max + 1) if m.dims[j]}
     for i in range(i_max + 1):
-        vblocks, reps = [], {}
+        reps = {}
         for j in sorted(kernels):
-            ker, taken = kernels[j], set()
+            (last, (ptr, idx, vals)), taken = kernels[j], ()
             if j - 1 in kernels:  # A_1 K_(j-1), one vector per (generator, kernel vector)
-                n = len(kernels[j - 1])
-                code, k, vals = _product(layout.table(1, j - 1), _by_rows(kernels[j - 1]), p)
-                g, y = np.divmod(code, ker.shape[1])
-                taken = gf.dict_pivots(_stream(*_compress(y, g * n + k, vals, a.dims[1] * n)), p)
-            last = ker.shape[1] - 1 - np.argmax(ker[:, ::-1] != 0, axis=1)
-            rep = ker[[c not in taken for c in last.tolist()]]
-            if len(rep):
-                vblocks.append((j, len(rep)))
-                reps[j] = _by_rows(rep)
-                dims[(i, j)] = len(rep)
-        if i == i_max or not vblocks:
+                n = len(kernels[j - 1][0])
+                code, k, v = _product(layout.table(1, j - 1), kernels[j - 1][1], p)
+                g, y = np.divmod(code, layout.dim(j))
+                taken = gf.dict_pivots(_stream(*_compress(y, g * n + k, v, a.dims[1] * n)),
+                                       p, len(last))
+            keep = np.flatnonzero(~np.isin(last, list(taken)))
+            if keep.size:
+                at = _ragged(ptr[keep], count := np.diff(ptr)[keep])
+                reps[j] = np.r_[0, np.cumsum(count)], idx[at], vals[at]
+                dims[(i, j)] = keep.size
+        if i == i_max or not reps:
             break
         # K_(i+1) = ker F_i -> F_(i-1) by degrees, F_i = A (x) V_i with u (x) v at off + u * vd + v
-        new_layout = _Layout(a.dims, a.mult_matrix, vblocks)
+        new_layout = _Layout(a.dims, a.mult_matrix, [(j, dims[(i, j)]) for j in reps])
         kernels = {}
         for j in range(1, j_max + 1):
-            phi = np.zeros((layout.dim(j), new_layout.dim(j)), dtype=np.int64)
+            phi = [empty]  # (row, column, value) of the map in degree j
             for e, vd, off in new_layout.blocks(j):
                 code, v, vals = _product(layout.table(j - e, e), reps[e], p)
-                u, y = np.divmod(code, len(phi))
-                phi[y, off + u * vd + v] = vals
-            ker = gf.nullspace(phi, p)
-            if ker.shape[0]:
+                u, y = np.divmod(code, layout.dim(j))
+                phi.append(np.array([y, off + u * vd + v, vals]))
+            if len((ker := _kernel(*np.concatenate(phi, axis=1), new_layout.dim(j), p))[0]):
                 kernels[j] = ker
         layout = new_layout
         if not kernels:

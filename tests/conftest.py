@@ -3,6 +3,10 @@ the monomial object routes that the package replaced with exponent rows,
 kept as references."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,27 @@ from koszulity.monomials import GeneratorOrder, Monomial, mono_mul
 
 
 LT, EQ, GT = -1, 0, 1
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_capped(*args: str, cap: int = 2 * 10 ** 9, stdin: str | None = None):
+    """`python *args` with this checkout's package, under an address-space cap
+    of `cap` bytes, started by a wrapper whose only child it is, so that the
+    wrapper's RUSAGE_CHILDREN is the child's own: (exit code, stdout,
+    stderr, peak RSS in MB) of the child."""
+    wrapper = ("import resource, subprocess, sys\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+               "r = subprocess.run([sys.executable, *sys.argv[1:]])\n"
+               "print(r.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, "-c", wrapper, *args], input=stdin, text=True,
+                       capture_output=True, env=env, timeout=300)
+    *out, last = r.stdout.splitlines(keepends=True)
+    code, kb = map(int, last.split())
+    return code, "".join(out), r.stderr, kb / 1024
 
 
 def invlex_compare(a: Monomial, b: Monomial) -> int:

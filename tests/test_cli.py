@@ -9,6 +9,8 @@ import pytest
 from koszulity import cli, homology
 from koszulity.cli import main
 
+from conftest import run_capped
+
 EXIT_OK, EXIT_NON_KOSZUL, EXIT_INPUT, EXIT_DISAGREE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
@@ -533,3 +535,45 @@ def test_unreadable_generator_names_exit_2(capsys, monkeypatch, command, name):
                          monkeypatch=monkeypatch)
     assert_one_error_line(code, out, err)
     assert f"generator name {name!r}" in err
+
+
+def test_one_parser_keeps_calls_apart(capsys, tmp_path):
+    # the parser is built once per process: gen --seed 5, then check, then
+    # gen and tor with their defaults, print in this process what each
+    # prints in a fresh one, so no parsed value leaks into a later call
+    assert cli.build_parser() is cli.build_parser()
+    path = str(tmp_path / "datum.json")
+    calls = [["gen", "global-symplectic", "--l", "3", "--seed", "5"], ["check", path],
+             ["gen", "global-symplectic", "--l", "3"], ["tor", path]]
+    here = [run(capsys, *calls[0])[:2]]
+    (tmp_path / "datum.json").write_text(here[0][1])
+    here += [run(capsys, *argv)[:2] for argv in calls[1:]]
+    fresh = [run_capped("-m", "koszulity", *argv)[:2] for argv in calls]
+    assert here == fresh
+    assert here[0][1] != here[2][1]
+
+
+def gen_file(capsys, tmp_path, dim: int) -> str:
+    code, out, _ = run(capsys, "gen", "local", "--case", "symplectic", "--l", "3",
+                       "--dim", str(dim))
+    assert code == EXIT_OK
+    path = tmp_path / f"symplectic{dim}.json"
+    path.write_text(out)
+    return str(path)
+
+
+def test_check_symplectic_dim_20_is_small(capsys, tmp_path):
+    # the resolution's maps used to be dense: about 1 GB here
+    code, out, err, peak_mb = run_capped("-m", "koszulity", "check",
+                                         gen_file(capsys, tmp_path, 20))
+    assert code == EXIT_OK, err[-400:]
+    assert out.endswith("verdict: koszul\n")
+    assert peak_mb < 200
+
+
+def test_tor_symplectic_dim_30_fits_in_2_gb(capsys, tmp_path):
+    # a dense map here would take 5.41 GiB
+    code, out, err, _ = run_capped("-m", "koszulity", "tor", "--max-i", "4", "--max-j", "4",
+                                   "--format", "json", gen_file(capsys, tmp_path, 30))
+    assert code == EXIT_OK, err[-400:]
+    assert json.loads(out)["dims"][4][4] == 807301

@@ -31,7 +31,7 @@ from koszulity.monomials import GeneratorOrder, Monomial
 
 from conftest import (divisors_degree, exterior_algebra, gen_order,
                       polynomial_algebra, presentation_from_strings,
-                      random_presentation)
+                      random_presentation, run_capped)
 
 
 def diag_table(kind, entries, i_max=4, j_max=4):
@@ -828,7 +828,7 @@ class TestResolutionActionTable:
                             vecs = nrng.integers(0, l, (rng.randrange(1, 6), layout.dim(j)))
                             vecs *= nrng.random(vecs.shape) < 0.5
                             code, k, vals = homology._product(
-                                layout.table(d, j), homology._by_rows(vecs), l)
+                                layout.table(d, j), _cols(vecs.T), l)
                             got = np.zeros((len(vecs), a.dims[d] * layout.dim(j + d)), np.int64)
                             got[k, code] = vals
                             want = np.concatenate([vecs @ x.T % l for x in dense]
@@ -836,6 +836,71 @@ class TestResolutionActionTable:
                             assert (got == want).all(), (l, d, j)
                             checked += bool(vals.size)
         assert checked >= 100
+
+
+class TestResolutionKernel:
+    """The resolution's kernels, streamed from the columns of each map, and
+    its bounded elimination of A_1 K_(j-1)."""
+
+    def test_kernel_is_nullspace_byte_for_byte(self):
+        rng, checked = np.random.default_rng(223), 0
+        for l in (2, 3, 5, 7, 65521):
+            for k in range(100):
+                rows, cols = int(rng.integers(1, 10)) * (k % 10 > 0), int(rng.integers(0, 12))
+                a = rng.integers(0, l, (rows, cols)) * (rng.random((rows, cols)) < rng.random())
+                if cols >= 4:  # an all-zero column, and one dependent on two others
+                    z, c0, c1, c2 = rng.choice(cols, 4, replace=False)
+                    a[:, z] = 0
+                    a[:, c2] = (rng.integers(1, l) * a[:, c0] + rng.integers(l) * a[:, c1]) % l
+                r, c = np.nonzero(a)
+                last, (ptr, idx, vals) = homology._kernel(r, c, a[r, c], cols, l)
+                got = np.zeros((len(last), cols), dtype=np.int64)
+                got[np.repeat(np.arange(len(last)), np.diff(ptr)), idx] = vals
+                want = gf.nullspace(a, l)
+                assert got.reshape(want.shape).tobytes() == want.tobytes(), (l, k)
+                assert last.tolist() == [np.flatnonzero(row)[-1] for row in want]
+                checked += 1
+        assert checked >= 480
+
+    def test_bounded_elimination_keeps_the_pivots(self, monkeypatch):
+        # stopped at dim K_j pivots, the elimination of A_1 K_(j-1) has the
+        # keys of the unbounded one, whether or not it reaches the bound
+        pivots, reached = gf.dict_pivots, []
+
+        def both(vectors, p, bound=None):
+            if bound is None:
+                return pivots(vectors, p)
+            vectors = list(vectors)
+            got = pivots(vectors, p, bound)
+            assert got.keys() == pivots(vectors, p).keys()
+            reached.append(len(got) == bound)
+            return got
+
+        monkeypatch.setattr(gf, "dict_pivots", both)
+        rng = random.Random(227)
+        for _ in range(100):
+            n, l = rng.randrange(3, 5), rng.choice((2, 3, 5, 7))
+            a = degreewise_expand(random_presentation(
+                rng, l, rng.choice(list(SymmetryMode)), n, rng.randrange(1, n + 1)), 4)
+            resolution_tor_algebra(a, 4, 4)
+        assert reached.count(True) >= 100 and reached.count(False) >= 5
+
+
+def test_w3_resolution_matches_koszul():
+    # the 9-generator global symplectic module (3 places, outside (2, 2),
+    # l = 3) over its exterior cover at bound (5, 6), under a 2 GB cap: the
+    # resolution did not finish here while its maps were dense
+    code = ("from koszulity import algebra, homology, models\n"
+            "d, order = models.build_global_symplectic(3, (2, 2), l=3, seed=0)\n"
+            "g = models.datum_to_algebra(d, 6)\n"
+            "lam = algebra.free_algebra(d.fld, algebra.SymmetryMode.SUPERCOMMUTATIVE, order, 6)\n"
+            "m = algebra.augmentation_module(g, lam)\n"
+            "tables = [homology.tor_module(lam, m, 5, 6, engine).dims\n"
+            "          for engine in ('resolution', 'koszul')]\n"
+            "print(tables[0] == tables[1], sum(tables[0].values()))\n")
+    exit_code, out, err, _ = run_capped("-c", code)
+    assert exit_code == 0, err[-400:]
+    assert out.split()[0] == "True"
 
 
 class TestInvariants:
