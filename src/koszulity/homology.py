@@ -448,9 +448,9 @@ class _Layout:
 
 def _kernel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int, p: int) -> tuple:
     """`gf.nullspace` of the map with entries (rows, cols, vals) and ncols columns: the free
-    column each basis vector ends at, and the vectors by compressed columns.  Column c, with
-    a 1 at c - ncols below every row, streams into `gf.dict_pivots` in ascending order; if its
-    row part reduces to 0, its pivot, read at index + ncols, is that unique kernel vector."""
+    column each basis vector ends at, and the vectors by compressed columns.  Column c, with a
+    1 at c - ncols below every row, streams into `gf.dict_pivots` in ascending order; if its row
+    part reduces to 0, its pivot read at index + ncols is 1 at c, else on earlier pivot columns."""
     stream = (col + [(c - ncols, 1)]
               for c, col in enumerate(_stream(*_compress(rows, cols, vals, ncols))))
     ker = [(lead, vec) for lead, (_, vec) in gf.dict_pivots(stream, p).items() if lead < 0]

@@ -3,11 +3,7 @@
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -29,9 +25,7 @@ from koszulity.models import (MINIMAL_DIMS, LocalCase, build_annihilator,
 
 from conftest import (exterior_algebra, free_product, gen_order, mono_enumerate,
                       monomial_value, polynomial_algebra, presentation_from_strings,
-                      random_presentation)
-
-ROOT = Path(__file__).resolve().parent.parent
+                      random_presentation, run_capped)
 
 
 class DenseComponent(NamedTuple):
@@ -444,19 +438,13 @@ def test_expansion_fits_in_one_gib():
     # local symplectic D = 20 (h_A = 1 + 20t + t^2) through degree 4: the
     # nonzero rows m*r of I_4 over its squarefree monomials make a dense
     # 29214 x 4845 matrix, 1.05 GiB in int64, before an elimination copies it
-    cap = 1 << 30
-    code = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
-            "from koszulity.algebra import degreewise_expand\n"
+    code = ("from koszulity.algebra import degreewise_expand\n"
             "from koszulity.models import LocalCase, local_presentation\n"
             "pres = local_presentation(LocalCase('symplectic', 20, 3))\n"
             "print(degreewise_expand(pres, 4).dims)\n")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=env, timeout=120)
-    assert r.returncode == 0, r.stderr[-400:]
-    assert r.stdout.split("\n")[0] == "[1, 20, 1, 0, 0]"
+    exit_code, out, err, _ = run_capped("-c", code, cap=1 << 30)
+    assert exit_code == 0, err[-400:]
+    assert out.split("\n")[0] == "[1, 20, 1, 0, 0]"
 
 
 @pytest.mark.parametrize("mode", list(SymmetryMode), ids=lambda m: m.value)
