@@ -1,12 +1,14 @@
 """Quadratic (super)commutative algebras over F_l and their degreewise form.
 
 A presentation holds quadratic relations in the free commutative or free
-supercommutative algebra on an ordered generator list.  Its expansion has
-as degree-n basis the standard monomials (the PBW basis), and one builder
-reads the generator actions off merge signs for it, for free algebras and
-for monomial algebras (gr^F A).  Degreewise algebras can also be built
-directly, e.g. from symbol data.  Monomial products are lookups in
-`monomials.times_generators` tables of exponent rows.
+supercommutative algebra on an ordered generator list.  Every degreewise
+algebra has as degree-n basis its invlex survivors (the PBW basis), and one
+constructor reads the generator actions off merge signs and normal forms
+for it: for expansions, whose survivors are the standard monomials, for free
+and monomial algebras (gr^F A), and for algebras given by the values of
+their normal monomials (the symbol and local models), whose survivors and
+normal forms come from one `gf.rref` per degree.  Monomial products are
+lookups in `monomials.times_generators` tables of exponent rows.
 """
 
 from __future__ import annotations
@@ -32,22 +34,23 @@ def normal_monomials(order: GeneratorOrder, degree: int, mode: SymmetryMode) -> 
     return row_monomials(exponent_rows(len(order), degree, mode is SymmetryMode.SUPERCOMMUTATIVE))
 
 
-def _normal_forms(rows, p: int) -> dict[int, dict[int, int]]:
-    """Normal forms modulo the span of rows, {index: value} dicts over
-    monomials indexed in invlex order: {lead: form} for every greatest-index
-    pivot of the span (`gf.dict_pivots`), the form over the standard
-    indices, those that lead nothing.  Leads are taken in ascending order,
-    and each pivot vector rewrites its lower entries through the forms
-    already found, so e_lead = form mod the span.  Exact in Python ints."""
-    forms: dict[int, dict[int, int]] = {}
-    for lead, (inv, vec) in sorted(gf.dict_pivots(rows, p).items()):
-        form: dict[int, int] = {}
-        for k, x in vec.items():
-            if k != lead:
-                for j, y in forms.get(k, {k: 1}).items():
-                    form[j] = (form.get(j, 0) - inv * x * y) % p
-        forms[lead] = {j: y for j, y in form.items() if y}
-    return forms
+def _normal_forms(rows, p: int, count: int) -> tuple[list[int], np.ndarray]:
+    """Normal forms modulo the span of rows, over the `count` monomials
+    indexed in invlex order: the standard indices, those that lead no
+    greatest-index pivot of the span (`gf.dict_pivots`), and the matrix whose
+    column k holds the coordinates over them of the normal form of monomial
+    k.  Leads are taken in ascending order, and each pivot vector rewrites
+    its lower entries through the columns already found, so e_lead = form
+    mod the span."""
+    pivots = sorted(gf.dict_pivots(rows, p).items())
+    basis = sorted(set(range(count)).difference(lead for lead, _ in pivots))
+    forms = np.zeros((len(basis), count), dtype=np.int64)
+    forms[range(len(basis)), basis] = 1
+    for lead, (inv, vec) in pivots:
+        lower = [k for k in vec if k != lead]
+        forms[:, lead] = (forms[:, lower] @ np.array([vec[k] for k in lower], dtype=np.int64)
+                          % p) * (p - inv) % p
+    return basis, forms
 
 
 @dataclass
@@ -74,13 +77,12 @@ class QuadraticPresentation:
             not np.size(self.relations) else gf.as_array(self.relations, self.fld.l)
         if rel.shape[0] and rel.shape[1] != nq:
             raise ValueError("relation vectors must be indexed by normal quadratics")
-        forms = _normal_forms(({j: int(row[j]) for j in np.flatnonzero(row)} for row in rel),
-                              self.fld.l)
-        self.relations = np.zeros((len(forms), nq), dtype=np.int64)
-        for row, lead in zip(self.relations, sorted(forms, reverse=True)):
-            row[lead] = 1
-            for j, y in forms[lead].items():
-                row[j] = -y % self.fld.l
+        basis, forms = _normal_forms(({j: int(row[j]) for j in np.flatnonzero(row)}
+                                      for row in rel), self.fld.l, nq)
+        leads = sorted(set(range(nq)).difference(basis), reverse=True)
+        self.relations = np.zeros((len(leads), nq), dtype=np.int64)
+        self.relations[range(len(leads)), leads] = 1
+        self.relations[:, basis] = -forms[:, leads].T % self.fld.l
 
     @property
     def quadratic_monomials(self) -> list[Monomial]:
@@ -98,13 +100,14 @@ class QuadraticPresentation:
                 rel[r, idx[m]] = c % fld.l
         return cls(fld, mode, order, rel)
 
-    def components(self, n_max: int) -> list[tuple[np.ndarray, list[int], dict]]:
+    def components(self, n_max: int) -> list[tuple[np.ndarray, list[int], np.ndarray]]:
         """For each degree n through n_max: the exponent rows of the normal
         monomials, the invlex indices of the standard ones (the basis of A_n),
-        and the normal forms of the others.  A term c * x_a * x_b (a <= b) of
-        a relation gives row m * r of I_n the term c * x_a * (x_b * m): two
-        lookups in one `times_generators` table, signed in super mode by the
-        parity of m's factors below a and below b."""
+        and the normal forms of all, column k over the standard monomials for
+        the monomial of index k (`_normal_forms`).  A term c * x_a * x_b
+        (a <= b) of a relation gives row m * r of I_n the term
+        c * x_a * (x_b * m): two lookups in one `times_generators` table,
+        signed in super mode by the parity of m's factors below a and below b."""
         p, num = self.fld.l, len(self.order)
         sq = self.mode is SymmetryMode.SUPERCOMMUTATIVE
         rows = [exponent_rows(num, n, sq) for n in range(n_max + 1)]
@@ -116,7 +119,7 @@ class QuadraticPresentation:
         ends = np.searchsorted(rel, np.arange(len(self.relations) + 1)).tolist()
         out = []
         for n, monos in enumerate(rows):
-            forms = {}
+            vectors = ()
             if n >= 2:
                 lower = slice(start[n - 2], start[n - 1])
                 mid = up[lower, b]  # x_b * m in degree n - 1
@@ -124,10 +127,10 @@ class QuadraticPresentation:
                 key = np.where(mid >= 0, up[at, a], -1)
                 odd = (below[lower, b] + below[at, a]) % 2 if sq else 0
                 value = np.where(key >= 0, np.where(odd, p - coef, coef), 0)
-                forms = _normal_forms(({k: v for k, v in zip(ks[s:e], vs[s:e]) if v}
-                                       for ks, vs in zip(key.tolist(), value.tolist())
-                                       for s, e in zip(ends, ends[1:])), p)
-            out.append((monos, [i for i in range(len(monos)) if i not in forms], forms))
+                vectors = ({k: v for k, v in zip(ks[s:e], vs[s:e]) if v}
+                           for ks, vs in zip(key.tolist(), value.tolist())
+                           for s, e in zip(ends, ends[1:]))
+            out.append((monos, *_normal_forms(vectors, p, len(monos))))
         return out
 
 
@@ -186,11 +189,13 @@ class DegreewiseAlgebra:
     """Graded algebra given degree by degree through a truncation bound.
 
     dims[n] is dim A_n; gen_action[n][g] is the matrix of left multiplication
-    by generator g from A_n to A_{n+1}.  A_0 = k and A_1 has the generators
-    as its basis, in order.  When the algebra is genuinely monomial (products
-    of basis monomials are +-monomial or zero) monomial_basis carries the
-    basis monomial of each basis vector, which enables the multigraded
-    homology fast path.
+    by generator g from A_n to A_{n+1}.  basis_monomials[n] lists the basis
+    of A_n: the invlex survivors among the degree-n normal monomials (the PBW
+    basis of gr^F A), basis vector i being the value of basis_monomials[n][i];
+    so A_0 = k and A_1 has the generators as its basis, in order.  Only
+    `_monomial_basis_algebra` builds one.  When the algebra is genuinely
+    monomial (products of basis monomials are +-monomial or zero) the flag
+    `monomial` enables the multigraded homology fast path.
     """
 
     fld: PrimeField
@@ -199,58 +204,13 @@ class DegreewiseAlgebra:
     n_max: int
     dims: list[int]
     gen_action: list[list[np.ndarray]]  # [n][g] -> (dims[n+1], dims[n])
-    basis_monomials: list[list[Monomial]] | None = None
+    basis_monomials: list[list[Monomial]]
     monomial: bool = False
-    _word_cache: dict = field(default_factory=dict, repr=False)
     _mult_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.dims[0] != 1:
-            raise ValueError("dim A_0 must be 1")
-        if self.dims[1] != len(self.order):
-            raise ValueError("A_1 must have the generators as a basis")
 
     @property
     def num_generators(self) -> int:
         return len(self.order)
-
-    def word_basis(self, n: int) -> tuple[list[Monomial], np.ndarray]:
-        """Invlex-least monomial words whose values form a basis of A_n, and
-        the coordinates of the basis of A_n in them.
-
-        This is also the PBW survivor scan: a word is kept exactly when its
-        value leaves the span of the values of all smaller words, so the words
-        are the basis of gr^F A_n: the pivot columns of one `rref` of the
-        values of the normal monomials, stacked as columns.  Row i of the
-        coordinate matrix writes the basis vector e_i as a combination of the
-        word values (coordinates @ values = I mod l), in an identity block
-        beside the values.  The monomials of degree k with least generator g
-        are an invlex block, x_g times the last ones of degree k - 1 (on the
-        generators from g on, after g if squarefree): their values are
-        gen_action[k - 1][g] @ those values mod l, each word's product chain.
-        """
-        if n in self._word_cache:
-            return self._word_cache[n]
-        p, num = self.fld.l, self.num_generators
-        sq = self.mode is SymmetryMode.SUPERCOMMUTATIVE
-        values = np.ones((1, 1), dtype=np.int64)
-        for k in range(n + 1):
-            if k == 1:
-                values = np.eye(num, dtype=np.int64)
-            elif k > 1:
-                end = monomial_count(num, k - 1, sq)
-                starts = [end - monomial_count(num - g - sq, k - 1, sq) for g in range(num)]
-                values = np.concatenate([np.zeros((self.dims[k], 0), dtype=np.int64)] +
-                                        [(self.gen_action[k - 1][g] @ values[:, s:]) % p
-                                         for g, s in enumerate(starts)], axis=1)
-            if k not in self._word_cache:
-                d, size = self.dims[k], values.shape[1]
-                red, pivots = gf.rref(np.hstack([values, np.eye(d, dtype=np.int64)]), p)
-                if pivots and pivots[-1] >= size:
-                    raise ValueError(f"A_{k} is not spanned by monomials in the generators")
-                self._word_cache[k] = (row_monomials(exponent_rows(num, k, sq)[pivots]),
-                                       np.ascontiguousarray(red[:, size:].T))
-        return self._word_cache[n]
 
     def element_product(self, u: np.ndarray, n: int, v: np.ndarray, m: int) -> np.ndarray:
         """Product of u in A_n and v in A_m, landing in A_(n+m)."""
@@ -274,33 +234,31 @@ def word_action(a: DegreewiseAlgebra, action, dims: list[int], d: int, n: int) -
     generators act by action[n][g]: X_n -> X_(n+1).  Column index =
     i_d * dims[n] + i_n.
 
-    Each word of a.word_basis(d) acts as the composite of its generator
-    matrices, and basis vector i of A_d as the combination of these composites
-    given by row i of the word coordinates.  When X is A itself, associativity
-    makes this the product e_i * f_j, so no supercommutative sign enters.
+    Basis vector i of A_d is the value of its basis monomial, so it acts as
+    the composite of the generator matrices along that monomial's word.
+    When X is A itself, associativity makes this the product e_i * f_j, so
+    no supercommutative sign enters.
     """
     p = a.fld.l
-    words, coords = a.word_basis(d)
-    composites = np.zeros((len(words), dims[n + d], dims[n]), dtype=np.int64)
-    for k, w in enumerate(words):
+    out = np.zeros((dims[n + d], a.dims[d], dims[n]), dtype=np.int64)
+    for k, w in enumerate(a.basis_monomials[d]):
         # left action of the word g1 g2 ... gd: apply gd first
         m = np.eye(dims[n], dtype=np.int64)
         deg = n
         for g in reversed(w.word()):
             m = (action[deg][g] @ m) % p
             deg += 1
-        composites[k] = m
-    blocks = np.tensordot(coords, composites, axes=(1, 0)) % p
-    return blocks.transpose(1, 0, 2).reshape(dims[n + d], a.dims[d] * dims[n])
+        out[:, k] = m
+    return out.reshape(dims[n + d], a.dims[d] * dims[n])
 
 
 def _monomial_basis_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
                             bases: list[np.ndarray], forms=None) -> DegreewiseAlgebra:
     """The algebra whose degree-n basis is the normal monomials of the
     exponent rows bases[n].  x_g * m, with its merge sign, is looked up in one
-    `times_generators` table; outside the basis it is read through its normal
-    form forms[n + 1][index] over invlex indices, and without forms (a
-    monomial algebra) it is 0."""
+    `times_generators` table and read through forms[n + 1], whose column k
+    holds the coordinates in the basis of the normal monomial of invlex index
+    k.  Without forms (a monomial algebra) a monomial outside the basis is 0."""
     if len(bases) < 3:
         raise ValueError("n_max must be >= 2")
     p, num, sq = fld.l, len(order), mode is SymmetryMode.SUPERCOMMUTATIVE
@@ -309,23 +267,22 @@ def _monomial_basis_algebra(fld: PrimeField, mode: SymmetryMode, order: Generato
         raise ValueError("a supercommutative basis monomial must be squarefree")
     start = np.cumsum([0] + [len(b) for b in bases]).tolist()
     up, below, index = times_generators(rows, sq)
+    monomial = forms is None
+    if monomial:
+        forms = [np.zeros((len(b), monomial_count(num, n, sq)), dtype=np.int64)
+                 for n, b in enumerate(bases)]
+        for n, f in enumerate(forms):
+            f[np.arange(len(f)), index[start[n]:start[n + 1]]] = 1
     gen_action: list[list[np.ndarray]] = []
     for n in range(len(bases) - 1):
-        pos = np.full(monomial_count(num, n + 1, sq), -1)
-        pos[index[start[n + 1]:start[n + 2]]] = np.arange(len(bases[n + 1]))
         col, g = np.nonzero(up[start[n]:start[n + 1]] >= 0)
         prod = up[start[n] + col, g]
         sign = np.where(below[start[n] + col, g] % 2, p - 1, 1) if sq else np.ones_like(col)
         mats = np.zeros((num, len(bases[n + 1]), len(bases[n])), dtype=np.int64)
-        hit = pos[prod] >= 0
-        mats[g[hit], pos[prod[hit]], col[hit]] = sign[hit]
-        for c, h, i, s in zip(*(x[~hit].tolist() for x in (col, g, prod, sign))) if forms else ():
-            for j, y in forms[n + 1][i].items():
-                mats[h, pos[j], c] = s * y % p
+        mats[g, :, col] = forms[n + 1][:, prod].T * sign[:, None] % p
         gen_action.append(list(mats))
     return DegreewiseAlgebra(fld, mode, order, len(bases) - 1, [len(b) for b in bases],
-                             gen_action, basis_monomials=[row_monomials(b) for b in bases],
-                             monomial=forms is None)
+                             gen_action, [row_monomials(b) for b in bases], monomial)
 
 
 def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra:
@@ -334,6 +291,30 @@ def degreewise_expand(p: QuadraticPresentation, n_max: int) -> DegreewiseAlgebra
     return _monomial_basis_algebra(p.fld, p.mode, p.order,
                                    [rows[basis] for rows, basis, _ in comps],
                                    [forms for _, _, forms in comps])
+
+
+def value_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder, n_max: int,
+                  value) -> DegreewiseAlgebra:
+    """The algebra spanned in each degree n >= 2 by the values of the normal
+    monomials: value(n, rows) holds as its columns the values, in some
+    coordinate space, of the monomials with exponent rows `rows`, and x_g *
+    m times its merge sign must take a value linear in m's.  One `gf.rref`
+    per degree puts the invlex survivors, the basis of A_n, at its pivot
+    columns, and in column k the coordinates of monomial k over them: the
+    forms of `_monomial_basis_algebra`.  Past a degree with no survivor,
+    A_n = A_1 A_(n-1) is 0 and no value is taken."""
+    p, num, sq = fld.l, len(order), mode is SymmetryMode.SUPERCOMMUTATIVE
+    bases = [exponent_rows(num, n, sq) for n in (0, 1)]
+    forms = [np.eye(len(b), dtype=np.int64) for b in bases]
+    for n in range(2, n_max + 1):
+        if len(bases[-1]):
+            rows = exponent_rows(num, n, sq)
+            red, pivots = gf.rref(value(n, rows), p)
+        else:  # no product reads these forms
+            rows, red, pivots = bases[-1], forms[-1], []
+        bases.append(rows[pivots])
+        forms.append(red)
+    return _monomial_basis_algebra(fld, mode, order, bases, forms)
 
 
 def free_algebra(fld: PrimeField, mode: SymmetryMode, order: GeneratorOrder,
@@ -380,12 +361,8 @@ def augmentation_module(a: DegreewiseAlgebra, b: DegreewiseAlgebra) -> ModuleTru
     n_max = min(a.n_max, b.n_max)
     dims = [0] + [a.dims[n] for n in range(1, n_max + 1)]
     action = [None] + [a.gen_action[n] for n in range(1, n_max)]
-    mono = a.basis_monomials
-    return ModuleTruncation(
-        b, dims, action,
-        basis_monomials=[[]] + [mono[n] for n in range(1, n_max + 1)] if mono else None,
-        monomial=a.monomial and b.monomial,
-    )
+    return ModuleTruncation(b, dims, action, [[]] + a.basis_monomials[1:n_max + 1],
+                            a.monomial and b.monomial)
 
 
 def ideal_module(a: DegreewiseAlgebra, c: np.ndarray) -> ModuleTruncation:

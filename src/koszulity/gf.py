@@ -2,7 +2,8 @@
 
 Everything here is deterministic integer arithmetic mod l.  Dense work is
 done on numpy int64 arrays, and `rref` is the one dense elimination: rank,
-kernels, solving, inverses and the PBW survivor scan read its result.  The
+kernels, solving, inverses and the value builds of the symbol and local
+algebras (their survivors and normal forms) read its result.  The
 one sparse elimination, `dict_pivots`, on {index: value} vectors of Python
 ints, returns its greatest-index pivots with their echelon vectors: the
 pivots give the bottom-up ranks of the bar and Koszul complexes and the
@@ -72,13 +73,14 @@ def as_array(data, p: int) -> np.ndarray:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.  Returns (rref matrix, pivot columns).
 
-    Zero rows are dropped from the result.
+    Zero rows are dropped from the result.  Only the columns that are
+    nonzero at the start are visited: row operations keep a zero column zero.
     """
     a = np.array(a, dtype=np.int64) % p
-    m, n = a.shape
+    m = a.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(n):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r == m:
             break
         nz = np.flatnonzero(a[r:, c])

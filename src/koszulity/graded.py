@@ -3,10 +3,11 @@
 The filtration of A_n by monomials is the canonical degree-1-generated
 extension of the generator filtration: F_m A_n = span of the values of all
 monomials <= m.  A monomial survives when its value leaves the span of the
-values of all strictly smaller monomials (a pivot column of one `rref`, in
-`word_basis`); the survivors are a basis of A and of gr^F A.  The PBW
-checks count each monomial's surviving divisors on exponent rows: x_g * m
-for every survivor m of one degree less, by `times_generators`.
+values of all strictly smaller monomials; the survivors are a basis of A and
+of gr^F A, and every algebra is built on them: they are its
+`basis_monomials`.  The PBW checks count each monomial's surviving divisors
+on exponent rows: x_g * m for every survivor m of one degree less, by
+`times_generators`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class PBWVerdict:
 
 
 def surviving_monomials(a: DegreewiseAlgebra, n: int) -> list[Monomial]:
-    """Greedy ascending-invlex scan for the degree-n commutative PBW basis."""
-    return a.word_basis(n)[0]
+    """The degree-n commutative PBW basis: the algebra's own basis."""
+    return a.basis_monomials[n]
 
 
 def associated_graded(a: DegreewiseAlgebra) -> MonomialTruncation:
@@ -124,16 +125,14 @@ def module_surviving_monomials(a: DegreewiseAlgebra, subspace_bases: list[np.nda
     filtration: m survives iff dim(M cap F_m) > dim(M cap F_(m-)).
 
     subspace_bases[n] has the basis rows of M_n in A_n coordinates.  F_m is
-    spanned by the values of the survivor words of `word_basis` up to m, so
-    written in word coordinates dim(M cap F_m) counts the greatest-index
-    pivots of M_n at or below m's word: the survivors are the words at the
+    spanned by the basis vectors of A_n up to m, the values of its ascending
+    survivors, so dim(M cap F_m) counts the greatest-index pivots of M_n at
+    or below m's basis vector: the survivors are the basis monomials at the
     pivots.
     """
-    words, coords = a.word_basis(n)
-    rows = (subspace_bases[n] @ coords) % a.fld.l
     pivots = gf.dict_pivots((dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist()))
-                             for row in rows), a.fld.l)
-    return [words[k] for k in sorted(pivots)]
+                             for row in subspace_bases[n] % a.fld.l), a.fld.l)
+    return [a.basis_monomials[n][k] for k in sorted(pivots)]
 
 
 def check_module_generated_degree1(a: DegreewiseAlgebra,

@@ -583,8 +583,7 @@ def _dense_cost(a, m, i_max, j_max) -> int:
 
 
 def _monomial(a: DegreewiseAlgebra, m: ModuleTruncation) -> bool:
-    return a.monomial and m.monomial and a.basis_monomials is not None \
-        and m.basis_monomials is not None
+    return a.monomial and m.monomial
 
 
 def bar_tor_algebra(a: DegreewiseAlgebra, i_max: int, j_max: int) -> TorTable:

@@ -25,7 +25,7 @@ from . import gf
 from .gf import PrimeField, RowSpan
 from .monomials import GeneratorOrder, Monomial, invlex_words
 from .algebra import (DegreewiseAlgebra, QuadraticPresentation, SymmetryMode,
-                      _json_int, normal_monomials)
+                      _json_int, normal_monomials, value_algebra)
 
 LOCAL_CASES = ("symplectic", "two_zero", "two_nonzero", "noroot")
 
@@ -118,24 +118,16 @@ def local_gram(case: LocalCase) -> tuple[np.ndarray | None, int | None]:
 def build_local(case: LocalCase, n_max: int = 5):
     """Degreewise local Milnor ring, its exterior cover's presentation, and
     the generator order.  A_1 = K*/K*^l, A_2 = F_l via the pairing (zero in
-    the noroot case), A_n = 0 for n >= 3."""
+    the noroot case): x_a * x_b has the value gram[a, b].  A_n = 0 for n >= 3."""
     fld = PrimeField(case.l)
     m = case.dim
     order = GeneratorOrder(tuple(f"x{i}" for i in range(m)))
     gram, t = local_gram(case)
-    dim2 = 0 if gram is None else 1
-    dims = [1, m, dim2] + [0] * (n_max - 2)
-    gen_action: list[list[np.ndarray]] = []
-    eye = np.eye(m, dtype=np.int64)
-    gen_action.append([eye[:, g:g + 1] for g in range(m)])
-    gen_action.append([
-        (gram[g:g + 1, :] % case.l if gram is not None
-         else np.zeros((0, m), dtype=np.int64))
-        for g in range(m)
-    ])
-    for n in range(2, n_max):
-        gen_action.append([np.zeros((0, dims[n]), dtype=np.int64) for _ in range(m)])
-    a = DegreewiseAlgebra(fld, case.mode, order, n_max, dims, gen_action)
+    gram = np.zeros((0, m, m), dtype=np.int64) if gram is None else gram[None] % case.l
+    words = invlex_words(m, 2, case.mode is SymmetryMode.SUPERCOMMUTATIVE)
+    a = value_algebra(fld, case.mode, order, n_max,
+                      lambda n, rows: gram[:, words[:, 0], words[:, 1]] if n == 2
+                      else np.zeros((0, len(rows)), dtype=np.int64))
     combos = []
     if case.mode is SymmetryMode.COMMUTATIVE:
         # squares collapse onto the class of -1: x_a^2 = x_t * x_a
@@ -334,6 +326,8 @@ class GlobalSymbolDatum:
                 if sp.kind == "real" and not sp.flagged:
                     errors.append(f"place {sp.label}: a real place carries a symbol "
                                   "coordinate at l = 2 and must be flagged")
+                if ((sp.gram - sp.gram.T) % p).any():
+                    errors.append(f"place {sp.label}: pairing must be symmetric")
                 want = (sp.gram @ sp.minus1) % p
                 if (sp.gram.diagonal() % p != want).any():
                     errors.append(
@@ -445,54 +439,40 @@ def predict_survivors(d: GlobalSymbolDatum) -> list[Monomial]:
 
 
 def datum_to_algebra(d: GlobalSymbolDatum, n_max: int) -> DegreewiseAlgebra:
-    """The quadratic symbol algebra of the datum, degree by degree.
+    """The quadratic symbol algebra of the datum, degree by degree, built
+    from the values of its normal monomials (`value_algebra`).
 
-    A_2 is the span of the pairwise symbol vectors inside the coordinate
-    space, with the reduced echelon basis of the normal-monomial symbols; for
-    l = 2 without sqrt(-1) the higher components are one copy of F_2 per
-    real place, with generators acting through their local signs.  Signs
-    that miss a real place leave A_3 outside A_1 A_2: a ValueError.
+    x_g * x_h has the value {x_g, x_h}, the symbol vector: the symbols must
+    be symmetric, or alternating in supercommutative mode, else a
+    ValueError.  For l = 2 without sqrt(-1) a monomial of degree n >= 3 has
+    at each real place v the value gram_v times the product of its factors'
+    signs at v: one copy of F_2 per real place.  Signs that miss a real
+    place leave A_3 outside A_1 A_2: a ValueError.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    fld, p = d.fld, d.fld.l
-    order = d.order()
-    ngen = len(order)
-    labels = d.coord_labels()
+    p, sq, n = d.fld.l, d.mode is SymmetryMode.SUPERCOMMUTATIVE, len(d.generators)
     sym = d.symbols()
-    words = invlex_words(ngen, 2, d.mode is SymmetryMode.SUPERCOMMUTATIVE)
-    basis, pivots = gf.rref(sym[words[:, 0], words[:, 1]], p)
-    dim2 = basis.shape[0]
-    # the basis is in reduced echelon form: a vector of its span has its
-    # coordinates at the pivot columns
-    coords = sym[:, :, pivots]
-    if ((coords @ basis - sym) % p).any():
-        raise ValueError("a symbol lies outside the span of the normal-monomial symbols")
-
-    # x_g acts on degree n >= 2 through its sign at each real place
-    real = [i for i, sp in enumerate(d.s_places) if sp.kind == "real"] \
-        if d.mode is SymmetryMode.COMMUTATIVE else []
-    r = len(real)
-    sign = np.array([[g.images[i][0] for i in real] for g in d.generators],
-                    dtype=np.int64).reshape(ngen, r) % p
-    real_coord = [labels.index(d.s_places[i].label) for i in real]
-    act2 = (sign[:, :, None] * basis[:, real_coord].T[None]) % p
-    if n_max >= 3:
-        reached = gf.rank(act2.transpose(1, 0, 2).reshape(r, ngen * dim2), p)
-        if reached < r:
-            raise ValueError(f"A_1 A_2 spans {reached} of the {r} dimensions of A_3, "
-                             "one per real place: the generators miss a real place")
-
-    dims = [1, ngen, dim2] + [r] * (n_max - 2)
-    eye = np.eye(ngen, dtype=np.int64)
-    gen_action = [[eye[:, g:g + 1] for g in range(ngen)],
-                  [c.T.copy() for c in coords]]
-    if n_max >= 3:
-        gen_action.append(list(act2))
-    gen_action += [[np.diag(s) for s in sign] for _ in range(3, n_max)]
-    a = DegreewiseAlgebra(fld, d.mode, order, n_max, dims, gen_action)
-    a.place_basis2 = basis
-    a.place_labels = labels
+    bad = ((sym + (1 if sq else -1) * sym.transpose(1, 0, 2)) % p).any(axis=2)
+    if sq:  # at l = 2 the twist misses {x,x}
+        bad |= np.diag(sym[range(n), range(n)].any(axis=1))
+    if bad.any():
+        g, h = (d.generators[i].label for i in np.argwhere(bad)[0])
+        raise ValueError(f"the symbols {{{g},{h}}} and {{{h},{g}}} are not "
+                         + ("alternating" if sq else "symmetric"))
+    words = invlex_words(n, 2, sq)
+    real = [] if sq else [i for i, sp in enumerate(d.s_places) if sp.kind == "real"]
+    gram = np.array([d.s_places[i].gram[0, 0] for i in real], dtype=np.int64) % p
+    # at l = 2 a sign is 0 or 1: a product of signs is 1 where no factor is 0
+    zero = np.array([[g.images[i][0] % p == 0 for i in real] for g in d.generators],
+                    dtype=np.int64).reshape(n, len(real))
+    a = value_algebra(d.fld, d.mode, d.order(), n_max,
+                      lambda deg, rows: sym[words[:, 0], words[:, 1]].T if deg == 2
+                      else gram[:, None] * ((rows @ zero).T == 0))
+    if n_max >= 3 and a.dims[3] < len(real):
+        raise ValueError(f"A_1 A_2 spans {a.dims[3]} of the {len(real)} dimensions of A_3, "
+                         "one per real place: the generators miss a real place")
+    words = np.array([m.word() for m in a.basis_monomials[2]], dtype=np.int64).reshape(-1, 2)
+    a.place_basis2 = sym[words[:, 0], words[:, 1]]
+    a.place_labels = d.coord_labels()
     return a
 
 
@@ -570,12 +550,14 @@ def _assemble_datum(fld, sqrt_minus1, s_places, outside_labels, raw, free,
 
 
 def _prediction_holds(d: GlobalSymbolDatum) -> bool:
-    from .graded import surviving_monomials
-    a = datum_to_algebra(d, 2)
-    want = len(d.coord_labels()) - (1 if d.reciprocity else 0)
-    if a.dims[2] != want:
+    """Do the degree-2 survivors, the pivot columns of one `rref` of the
+    normal-monomial symbols, fill the coordinates and match the prediction?"""
+    words = invlex_words(len(d.generators), 2, d.mode is SymmetryMode.SUPERCOMMUTATIVE)
+    pivots = gf.rref(d.symbols()[words[:, 0], words[:, 1]].T, d.fld.l)[1]
+    if len(pivots) != len(d.coord_labels()) - (1 if d.reciprocity else 0):
         return False
-    return predict_survivors(d) == surviving_monomials(a, 2)
+    quad = normal_monomials(d.order(), 2, d.mode)
+    return predict_survivors(d) == [quad[k] for k in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Shared fixtures and small construction helpers for the test suite, and
-the monomial object routes that the package replaced with exponent rows,
-kept as references."""
+the routes that the package replaced, kept as references: the monomial
+object routes that exponent rows replaced, and the hand-built symbol and
+local algebras that their value builds replaced."""
 
 import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from koszulity.algebra import (QuadraticPresentation, SymmetryMode,
+from koszulity import gf
+from koszulity.algebra import (DegreewiseAlgebra, QuadraticPresentation, SymmetryMode,
                                degreewise_expand, free_algebra, normal_monomials)
-from koszulity.gf import PrimeField
-from koszulity.monomials import GeneratorOrder, Monomial, mono_mul
+from koszulity.gf import PrimeField, RowSpan
+from koszulity.models import local_gram
+from koszulity.monomials import GeneratorOrder, Monomial, invlex_words, mono_mul
 
 
 LT, EQ, GT = -1, 0, 1
@@ -104,8 +108,9 @@ def free_product(a: Monomial, b: Monomial, mode: SymmetryMode, p: int):
 
 
 def monomial_value(a, mono: Monomial) -> np.ndarray:
-    """Value of a generator-word monomial in A_(deg mono), word by word: the
-    reference for the values of `DegreewiseAlgebra.word_basis`."""
+    """Value of a generator-word monomial in A_(deg mono), word by word,
+    through a's generator actions: the reference for the values that the
+    survivor scans read."""
     word = mono.word()
     if not word:
         return np.ones(1, dtype=np.int64)
@@ -114,6 +119,105 @@ def monomial_value(a, mono: Monomial) -> np.ndarray:
     for d, g in enumerate(reversed(word[:-1]), 1):
         v = (a.gen_action[d][g] @ v) % a.fld.l
     return v
+
+
+def greedy_word_basis(a, n):
+    """The survivor scan word by word: each normal monomial in invlex order
+    is kept when its value grows an incremental `RowSpan`.  Returns the
+    survivors and the coordinates of A_n's basis in their values (the
+    inverse of the values)."""
+    span = RowSpan(a.dims[n], a.fld.l)
+    words, vals = [], []
+    for mono in normal_monomials(a.order, n, a.mode):
+        if span.dim == a.dims[n]:
+            break
+        v = monomial_value(a, mono)
+        if span.add(v):
+            words.append(mono)
+            vals.append(v)
+    values = np.array(vals, dtype=np.int64).reshape(len(vals), a.dims[n])
+    return words, gf.inverse(values, a.fld.l)
+
+
+def on_greedy_survivors(fld, mode, order, dims, gen_action) -> DegreewiseAlgebra:
+    """A hand-built algebra moved onto the values of its greedy survivors as
+    basis: with C_n the coordinates and V_n the values of `greedy_word_basis`
+    (C_n V_n = I), x_g acts on A_n by C_(n+1)^T gen_action[n][g] V_n^T."""
+    p, a = fld.l, SimpleNamespace(fld=fld, mode=mode, order=order, dims=dims,
+                                  gen_action=gen_action)
+    words, coords = zip(*(greedy_word_basis(a, n) for n in range(len(dims))))
+    values = [gf.inverse(c, p) for c in coords]
+    action = [[(coords[n + 1].T @ ((mat @ values[n].T) % p)) % p for mat in mats]
+              for n, mats in enumerate(gen_action)]
+    return DegreewiseAlgebra(fld, mode, order, len(dims) - 1, dims, action, list(words))
+
+
+def reference_datum_to_algebra(d, n_max: int) -> DegreewiseAlgebra:
+    """`models.datum_to_algebra` as it was hand-built, moved onto its greedy
+    survivors.  A_2 is the span of the pairwise symbol vectors inside the
+    coordinate space, with the reduced echelon basis of the normal-monomial
+    symbols; for l = 2 without sqrt(-1) the higher components are one copy
+    of F_2 per real place, with generators acting through their local signs.
+    Signs that miss a real place leave A_3 outside A_1 A_2: a ValueError."""
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    fld, p = d.fld, d.fld.l
+    order = d.order()
+    ngen = len(order)
+    labels = d.coord_labels()
+    sym = d.symbols()
+    words = invlex_words(ngen, 2, d.mode is SymmetryMode.SUPERCOMMUTATIVE)
+    basis, pivots = gf.rref(sym[words[:, 0], words[:, 1]], p)
+    dim2 = basis.shape[0]
+    # the basis is in reduced echelon form: a vector of its span has its
+    # coordinates at the pivot columns
+    coords = sym[:, :, pivots]
+    if ((coords @ basis - sym) % p).any():
+        raise ValueError("a symbol lies outside the span of the normal-monomial symbols")
+
+    # x_g acts on degree n >= 2 through its sign at each real place
+    real = [i for i, sp in enumerate(d.s_places) if sp.kind == "real"] \
+        if d.mode is SymmetryMode.COMMUTATIVE else []
+    r = len(real)
+    sign = np.array([[g.images[i][0] for i in real] for g in d.generators],
+                    dtype=np.int64).reshape(ngen, r) % p
+    real_coord = [labels.index(d.s_places[i].label) for i in real]
+    act2 = (sign[:, :, None] * basis[:, real_coord].T[None]) % p
+    if n_max >= 3:
+        reached = gf.rank(act2.transpose(1, 0, 2).reshape(r, ngen * dim2), p)
+        if reached < r:
+            raise ValueError(f"A_1 A_2 spans {reached} of the {r} dimensions of A_3, "
+                             "one per real place: the generators miss a real place")
+
+    dims = [1, ngen, dim2] + [r] * (n_max - 2)
+    eye = np.eye(ngen, dtype=np.int64)
+    gen_action = [[eye[:, g:g + 1] for g in range(ngen)],
+                  [c.T.copy() for c in coords]]
+    if n_max >= 3:
+        gen_action.append(list(act2))
+    gen_action += [[np.diag(s) for s in sign] for _ in range(3, n_max)]
+    return on_greedy_survivors(fld, d.mode, order, dims, gen_action)
+
+
+def reference_build_local(case, n_max: int = 5) -> DegreewiseAlgebra:
+    """The algebra of `models.build_local` as it was hand-built, moved onto
+    its greedy survivors: A_2 = F_l via the pairing (zero in the noroot
+    case), A_n = 0 for n >= 3."""
+    m = case.dim
+    gram, _ = local_gram(case)
+    dims = [1, m, 0 if gram is None else 1] + [0] * (n_max - 2)
+    gen_action: list[list[np.ndarray]] = []
+    eye = np.eye(m, dtype=np.int64)
+    gen_action.append([eye[:, g:g + 1] for g in range(m)])
+    gen_action.append([
+        (gram[g:g + 1, :] % case.l if gram is not None
+         else np.zeros((0, m), dtype=np.int64))
+        for g in range(m)
+    ])
+    for n in range(2, n_max):
+        gen_action.append([np.zeros((0, dims[n]), dtype=np.int64) for _ in range(m)])
+    order = GeneratorOrder(tuple(f"x{i}" for i in range(m)))
+    return on_greedy_survivors(PrimeField(case.l), case.mode, order, dims, gen_action)
 
 
 def gen_order(n: int) -> GeneratorOrder:

@@ -23,9 +23,9 @@ from koszulity.models import (MINIMAL_DIMS, LocalCase, build_annihilator,
                               build_global_general, build_global_symplectic,
                               build_local, build_noroot, datum_to_algebra)
 
-from conftest import (exterior_algebra, free_product, gen_order, mono_enumerate,
-                      monomial_value, polynomial_algebra, presentation_from_strings,
-                      random_presentation, run_capped)
+from conftest import (exterior_algebra, free_product, gen_order, greedy_word_basis,
+                      mono_enumerate, monomial_value, polynomial_algebra,
+                      presentation_from_strings, random_presentation, run_capped)
 
 
 class DenseComponent(NamedTuple):
@@ -144,20 +144,17 @@ class TestComponent:
         assert component_dim(p, 5) == 1
 
     def test_normal_forms_match_dense_reference(self):
-        # the sparse normal forms are the rows of the dense projection, and
-        # the stored relations are their own dense reduced echelon form
+        # the normal forms, column by column, are the rows of the dense
+        # projection, and the stored relations are their own dense reduced
+        # echelon form
         for pres in product_core_cases():
             l = pres.fld.l
             assert (echelon_descending(pres.relations, l) == pres.relations).all()
             for n, (rows, basis, forms) in enumerate(pres.components(4)):
                 ref = dense_component(pres, n)
                 assert (row_monomials(rows), basis) == (ref.monomials, ref.basis)
-                proj = np.zeros_like(ref.projection)
-                proj[basis, range(len(basis))] = 1
-                for i, form in forms.items():
-                    for j, y in form.items():
-                        proj[i, basis.index(j)] = y
-                assert (proj == ref.projection).all(), (pres.relations, n)
+                assert forms.shape == ref.projection.T.shape
+                assert (forms.T == ref.projection).all(), (pres.relations, n)
 
 
 class TestDegreewiseExpand:
@@ -274,19 +271,16 @@ class TestProductCore:
                     assert (a.mult_matrix(d, e) == want).all(), (pres.relations, d, e)
 
     def test_word_coordinates_invert_values(self, expanded):
-        for pres, a in expanded:
-            l = pres.fld.l
+        # the values of the basis monomials, word by word, are the unit
+        # vectors, and the basis monomials are the survivors of the scan: a
+        # monomial leads an element of I_n exactly when its value lies in the
+        # span of the values of the smaller monomials
+        for _, a in expanded:
             for n in range(self.N_MAX + 1):
-                words, coords = a.word_basis(n)
-                values = np.array([monomial_value(a, w) for w in words],
-                                  dtype=np.int64).reshape(len(words), a.dims[n])
-                assert ((coords @ values) % l == np.eye(a.dims[n], dtype=np.int64)).all()
-                # the survivors are the expansion's standard monomials, and
-                # their values are the unit vectors: a monomial leads an
-                # element of I_n exactly when its value lies in the span of
-                # the values of the smaller monomials
-                assert words == a.basis_monomials[n]
-                assert (coords == np.eye(a.dims[n], dtype=np.int64)).all()
+                values = np.array([monomial_value(a, w) for w in a.basis_monomials[n]],
+                                  dtype=np.int64).reshape(a.dims[n], a.dims[n])
+                assert (values == np.eye(a.dims[n], dtype=np.int64)).all()
+                assert greedy_word_basis(a, n)[0] == a.basis_monomials[n]
 
     def test_augmentation_action_is_multiplication(self, expanded):
         for _, a in expanded:
@@ -308,9 +302,8 @@ class TestProductCore:
                     assert over_a.action_matrix(d, n) is a.mult_matrix(d, n)
                     got = over_lam.action_matrix(d, n)
                     assert got is not a.mult_matrix(d, n) and got is not lam.mult_matrix(d, n)
-                    words, coords = lam.word_basis(d)
-                    proj = (coords @ np.array([monomial_value(a, w) for w in words],
-                                              dtype=np.int64).reshape(len(words), a.dims[d])) % l
+                    proj = np.array([monomial_value(a, w) for w in lam.basis_monomials[d]],
+                                    dtype=np.int64).reshape(lam.dims[d], a.dims[d])
                     mult = a.mult_matrix(d, n).reshape(a.dims[n + d], a.dims[d], a.dims[n])
                     want = np.einsum("rue,iu->rie", mult, proj) % l
                     assert (got == want.reshape(got.shape)).all()
@@ -464,25 +457,9 @@ def test_free_algebra_matches_empty_presentation(mode, l):
                 [[m.tobytes() for m in mats] for mats in want.gen_action]
 
 
-def greedy_word_basis(a, n):
-    """The survivor scan before it became one rref: each normal monomial in
-    invlex order is kept when its value grows an incremental `RowSpan`."""
-    span = RowSpan(a.dims[n], a.fld.l)
-    words, vals = [], []
-    for mono in normal_monomials(a.order, n, a.mode):
-        if span.dim == a.dims[n]:
-            break
-        v = monomial_value(a, mono)
-        if span.add(v):
-            words.append(mono)
-            vals.append(v)
-    values = np.array(vals, dtype=np.int64).reshape(len(vals), a.dims[n])
-    return words, gf.inverse(values, a.fld.l)
-
-
 def symbol_algebras():
-    """Algebras with no presentation, whose word coordinates are not all the
-    identity: every global kind at seeds 0-2 and every local case."""
+    """Algebras with no presentation, built from the values of their
+    monomials: every global kind at seeds 0-2 and every local case."""
     builds = [
         (build_global_symplectic, (2, (1, 1)), dict(l=3)),
         (build_global_symplectic, (3, (2, 1)), dict(l=5)),
@@ -503,21 +480,20 @@ def symbol_algebras():
 
 
 def test_word_basis_matches_greedy_scan():
-    identity = True
+    # every algebra is built on its survivors: the word-by-word scan finds
+    # the basis monomials, and the coordinates of the basis in their values
+    # are the identity
     for a in symbol_algebras():
         for n in range(a.n_max + 1):
-            words, coords = a.word_basis(n)
-            want_words, want_coords = greedy_word_basis(a, n)
-            assert words == want_words
-            assert coords.shape == want_coords.shape and (coords == want_coords).all()
-            identity &= (coords == np.eye(a.dims[n], dtype=np.int64)).all()
-    assert not identity
+            words, coords = greedy_word_basis(a, n)
+            assert words == a.basis_monomials[n]
+            assert (coords == np.eye(a.dims[n], dtype=np.int64)).all()
 
 
 def reference_word_basis(a, n):
-    """`word_basis` before the value recurrence: every normal monomial
-    valued word by word, one `rref` for the pivots and `gf.inverse` for the
-    coordinates."""
+    """The survivor scan as one `rref` of every normal monomial valued word
+    by word, with `gf.inverse` for the coordinates of the basis in the
+    survivors' values."""
     d, sq = a.dims[n], a.mode is SymmetryMode.SUPERCOMMUTATIVE
     monos = mono_enumerate(a.order, n, sq) if d else []
     values = np.array([monomial_value(a, m) for m in monos],
@@ -546,13 +522,12 @@ def word_basis_cases():
 
 
 def test_word_basis_matches_reference():
+    # the basis monomials are the survivors, and their values the unit vectors
     for a in word_basis_cases():
         for n in range(a.n_max + 1):
-            words, coords = a.word_basis(n)
-            want_words, want_coords = reference_word_basis(a, n)
-            assert words == want_words
-            assert coords.shape == want_coords.shape and coords.dtype == want_coords.dtype
-            assert coords.tobytes() == want_coords.tobytes()
+            words, coords = reference_word_basis(a, n)
+            assert words == a.basis_monomials[n]
+            assert coords.tobytes() == np.eye(a.dims[n], dtype=np.int64).tobytes()
 
 
 def reference_monomial_basis_algebra(a):

@@ -502,6 +502,33 @@ def test_unflagged_real_place_exits_2(capsys, monkeypatch, command):
     assert f"place {real['label']}: a real place" in err and "must be flagged" in err
 
 
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_asymmetric_pairing_exits_2(capsys, monkeypatch, command):
+    # at l = 2 without sqrt(-1) the algebra is commutative: a pairing that is
+    # not symmetric used to pass, and give the table of a non-commutative object
+    obj = json.loads(general_datum(capsys))
+    place = obj["s_places"][0]
+    place["gram"] = [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
+    obj["reciprocity"] = False
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert f"place {place['label']}: pairing must be symmetric" in err
+
+
+@pytest.mark.parametrize("command", ["tor", "check"])
+def test_zero_real_gram_exits_2(capsys, monkeypatch, command):
+    # a real place whose Gram matrix is 0 gives every monomial of degree >= 3
+    # the value 0 there: A_3 misses the place, as with zero signs
+    obj = json.loads(general_datum(capsys))
+    obj.update(lagrangian=None, minus1_coeffs=None, reciprocity=False)
+    next(sp for sp in obj["s_places"] if sp["kind"] == "real")["gram"] = [[0]]
+    code, out, err = run(capsys, command, "-", stdin=json.dumps(obj),
+                         monkeypatch=monkeypatch)
+    assert_one_error_line(code, out, err)
+    assert "A_1 A_2 spans 0 of the 1 dimensions of A_3" in err
+
+
 @pytest.mark.parametrize("mono,message", [
     ("x0*z", "unknown generator 'z'"),
     ("x0^-1*x1^3", "exponent -1 of x0 in 'x0^-1*x1^3' is not positive"),

@@ -175,6 +175,44 @@ def test_rank_matches_rref(seed, p, rows, cols, inner, zeros):
     assert gf.rank(a, p) == len(gf.rref(a, p)[1])
 
 
+def reference_rref(a, p):
+    """`gf.rref` visiting every column, the zero ones included."""
+    a = np.array(a, dtype=np.int64) % p
+    m, n = a.shape
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_skipping_zero_columns_matches_full_loop(seed):
+    # rref visits only the columns nonzero at the start; row operations keep
+    # a zero column zero, so the result is bit-identical to the full loop
+    rng = np.random.default_rng(seed)
+    p = KERNEL_PRIMES[seed % len(KERNEL_PRIMES)]
+    rows, cols = (int(x) for x in rng.integers(0, 12, size=2))
+    a = _low_rank(seed, p, rows, cols, int(rng.integers(0, 12)), float(rng.random()))
+    a[:, rng.random(cols) < 0.4] = 0
+    got, want = gf.rref(a, p), reference_rref(a, p)
+    assert got[1] == want[1]
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+
+
 def _dicts(a):
     return [{k: int(x) for k, x in enumerate(v) if x} for v in a]
 

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -17,13 +18,15 @@ from koszulity.graded import (associated_graded, check_module_generated_degree1,
 from koszulity.graphs import (algebra_verdict, graph_from_truncation,
                               is_acyclic, max_degree, module_verdict)
 from koszulity.homology import koszul_scan, tor_algebra, tor_module
-from koszulity.models import (MINIMAL_DIMS, LocalCase, build_annihilator,
+from koszulity.models import (LOCAL_CASES, MINIMAL_DIMS, LocalCase, build_annihilator,
                               build_global_general, build_global_symplectic,
                               build_local, build_noroot, datum_from_json,
                               datum_to_algebra, datum_to_json, local_gram,
                               local_annihilator_choices,
                               local_expected_survivors, local_presentation,
                               predict_survivors, support, validate_reciprocity)
+
+from conftest import reference_build_local, reference_datum_to_algebra
 
 
 def canonical(obj):
@@ -396,6 +399,68 @@ class TestSymbols:
         d = datum_from_json(obj)
         assert d.validate() == []
         assert (assert_symbols_match_reference(d) == want).all()
+
+
+VALUE_BUILDS = [
+    (build_global_symplectic, (2, (1, 1)), dict(l=3)),
+    (build_global_symplectic, (2, (1, 1)), dict(l=5)),
+    (build_global_symplectic, (3, (2, 1)), dict(l=5)),
+    (build_global_symplectic, (2, (1, 2)), dict(l=2, sqrt_minus1=True)),
+    (build_global_general, (2, 1, (1, 1)), {}),
+    (build_global_general, (3, 1, (1, 2)), {}),
+    (build_global_general, (3, 2, (2, 1)), {}),
+    (build_annihilator, (3, 1, 1, (1, 1)), {}),
+    (build_annihilator, (4, 1, 2, (1, 1)), {}),
+    (build_noroot, (2, 2), dict(l=3)),
+    (build_noroot, (2, 1), dict(l=5)),
+    (build_noroot, (3, 1), dict(l=5, variant=2, num_c_places=2)),
+]
+
+
+def assert_same_algebra(a, ref):
+    # ref sits on the survivors of its own word-by-word scan
+    assert a.dims == ref.dims
+    assert a.basis_monomials == ref.basis_monomials
+    assert tor_algebra(a, 3, a.n_max).dims == tor_algebra(ref, 3, ref.n_max).dims
+
+
+class TestValueBuilds:
+    """The symbol and local algebras, built from the values of their normal
+    monomials, against the hand-built actions they replaced."""
+
+    @pytest.mark.parametrize("build,args,kwargs", VALUE_BUILDS)
+    def test_datum_matches_hand_built(self, build, args, kwargs):
+        for seed in range(18):
+            d, _ = build(*args, seed=seed, **kwargs)
+            n_max = 2 + seed % 4
+            assert_same_algebra(datum_to_algebra(d, n_max), reference_datum_to_algebra(d, n_max))
+
+    def test_local_matches_hand_built(self):
+        compared = 0
+        for case, dim in itertools.product(LOCAL_CASES, range(1, 8)):
+            for l, sqrt_minus1 in ((2, False), (2, True), (3, False), (5, False)):
+                try:
+                    c = LocalCase(case, dim, l, sqrt_minus1)
+                except ValueError:
+                    continue
+                for n_max in range(2, 6):
+                    assert_same_algebra(build_local(c, n_max)[0], reference_build_local(c, n_max))
+                    compared += 1
+        assert compared == 116
+
+    @pytest.mark.parametrize("build,args,kwargs,word", [
+        (build_global_general, (3, 1, (1, 2)), {}, "symmetric"),
+        (build_global_symplectic, (2, (1, 1)), dict(l=3), "alternating"),
+    ])
+    def test_symbols_must_obey_the_mode(self, build, args, kwargs, word):
+        # the values of the normal monomials stand for every product only
+        # when {x,y} and {y,x} agree up to the mode's sign
+        d, _ = build(*args, seed=0, **kwargs)
+        sp = next(sp for sp in d.s_places if sp.kind == "nonarch")
+        sp.gram = sp.gram.copy()
+        sp.gram[0, -1] += 1
+        with pytest.raises(ValueError, match=f"are not {word}"):
+            datum_to_algebra(d, 3)
 
 
 class TestDatumJson:
