@@ -505,7 +505,7 @@ def test_unflagged_real_place_exits_2(capsys, monkeypatch, command):
 @pytest.mark.parametrize("command", ["tor", "check"])
 def test_asymmetric_pairing_exits_2(capsys, monkeypatch, command):
     # at l = 2 without sqrt(-1) the algebra is commutative: a pairing that is
-    # not symmetric used to pass, and give the table of a non-commutative object
+    # not symmetric is refused by name, not read as a non-commutative object
     obj = json.loads(general_datum(capsys))
     place = obj["s_places"][0]
     place["gram"] = [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
