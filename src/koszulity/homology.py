@@ -19,13 +19,18 @@ Three engines compute the same module table:
   `_find` tells rows apart, as it finds d's tuples, by codes it ranks before
   they could reach 2^63.  Each tier is one int64 array, each d is read off
   a table of product terms by compressed rows, and each d^2=0 check is one
-  exact sparse product, before any rank.  Ranks go bottom-up:
-  `gf.dict_pivots` gets d_i's nonempty rows outside the pivots L of
-  d_(i-1)'s rows, by ascending last column.  As d_i^T d_(i-1)^T = 0, each l
-  in L ends some w in im d_(i-1)^T in ker d_i^T: row l is a combination of
-  rows k < l, so of those outside L.  The first row per last column is a
-  pivot at once; H_{i-1,j} less the empty rows outside L reduce to 0, for M
-  generated in degree 1 only off-diagonal ones.  Blocks share no rows;
+  exact sparse product, before any rank.  Ranks go bottom-up, over d_i's
+  nonempty rows outside the pivots L of d_(i-1)'s rows, each tier reversed
+  so that a row's last column is its least tuple, which makes the last
+  columns nearly all distinct.  As d_i^T d_(i-1)^T = 0, each l in L ends
+  some w in im d_(i-1)^T in ker d_i^T: row l is a combination of rows
+  k < l, so of those outside L, in any one order of a tier's rows and
+  columns.  A reduction only lowers a last column, so the first row with
+  each is a pivot, taken at once; `gf.dict_pivots` reduces the others,
+  reading a pivot's entries when a reduction first reaches it.  H_{i-1,j}
+  less the empty rows outside L reduce to 0, for M generated in degree 1
+  only off-diagonal ones.  Blocks share no rows, and a block's tuples one
+  degree and weight, so the ranks do not depend on the order;
 * a minimal free resolution built degree by degree: Tor_{i,j} is the number
   of degree-j minimal generators of the i-th syzygy module K, by the graded
   Nakayama rule (A_+ K)_j = A_1 K_{j-1} (A is generated in degree 1): the
@@ -295,10 +300,10 @@ def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, ncols: int) 
             rows[order], vals[order])
 
 
-def _stream(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, which=None):
-    """The vectors of compressed arrays, all or those in `which`, as (index, value) pairs."""
+def _stream(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    """The vectors of compressed arrays as (index, value) pairs."""
     ptr, pairs = ptr.tolist(), list(zip(idx.tolist(), vals.tolist()))
-    return (pairs[ptr[k]:ptr[k + 1]] for k in (range(len(ptr) - 1) if which is None else which))
+    return (pairs[ptr[k]:ptr[k + 1]] for k in range(len(ptr) - 1))
 
 
 def _ragged(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -362,6 +367,21 @@ def _bar_diff(st: _SplitBasis, src: np.ndarray, tgt: np.ndarray) -> tuple:
     return _compress(col[rows >= 0], rows[rows >= 0], vals[rows >= 0], len(tgt))
 
 
+class _FirstRows(dict):
+    """The first row with each last column, a pivot at once, as a table for
+    `gf.dict_pivots` that reads a pivot's entries when a reduction first reaches it."""
+
+    def __init__(self, diff: tuple, leads: np.ndarray, rows: np.ndarray, p: int):
+        super().__init__()
+        self.row, self.diff, self.p = dict(zip(leads.tolist(), rows.tolist())), diff, p
+
+    def __missing__(self, lead: int) -> tuple[int, dict[int, int]]:
+        (ptr, cols, vals), r = self.diff, self.row[lead]  # a KeyError: a new pivot
+        vec = dict(zip(cols[ptr[r]:ptr[r + 1]].tolist(), vals[ptr[r]:ptr[r + 1]].tolist()))
+        self[lead] = pivot = (pow(vec[lead], self.p - 2, self.p), vec)
+        return pivot
+
+
 def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
     """The pivots of d_i = diffs[i - 1]'s rows, bottom-up: exact given d^2=0 (module docstring)."""
     out = [set()]
@@ -369,9 +389,13 @@ def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
         keep = np.diff(ptr) > 0
         keep[list(out[-1])] = False
         rows = np.flatnonzero(keep)
-        lead = np.argsort(cols[ptr[rows + 1] - 1], kind="stable")
+        rows = rows[np.argsort(cols[ptr[rows + 1] - 1], kind="stable")]
+        first = np.diff(last := cols[ptr[rows + 1] - 1], prepend=-1) > 0
+        table, rest = _FirstRows((ptr, cols, vals), last[first], rows[first], p), rows[~first]
+        at = _ragged(ptr[rest], count := ptr[rest + 1] - ptr[rest])
         # the keys alone, so that no tier's pivot vectors outlive its elimination
-        out.append(set(gf.dict_pivots(_stream(ptr, cols, vals, rows[lead].tolist()), p)))
+        out.append(set(gf.dict_pivots(_stream(np.r_[0, np.cumsum(count)], cols[at], vals[at]),
+                                      p, pivots=table)) | table.row.keys())
     return out[1:]
 
 
@@ -381,7 +405,9 @@ def _bar_split_table(a, m, i_max, j_max) -> dict[tuple[int, int], int]:
     st = _SplitBasis(a, m, j_max)
     keys = _BlockKeys(st) if st.mono is not None else None
     top = min(i_max + 1, j_max)
-    tiers, degree, weight = _bar_tiers(st, keys if keys and keys.exact() else None, top, j_max)
+    # each tier reversed: a row's greatest-index lead is its least tuple
+    tiers, degree, weight = ([t[::-1] for t in x] for x in _bar_tiers(
+        st, keys if keys and keys.exact() else None, top, j_max))
     diffs = [_bar_diff(st, tiers[i], tiers[i - 1]) for i in range(1, top + 1)]
     return _complex_table("bar differential", diffs, degree, weight, st.p, j_max)
 

@@ -1001,16 +1001,18 @@ class TestBarArrays:
                 assert len(piv) == gf.rank(d, p)
 
     def test_zero_reductions_count_the_off_diagonal(self, monkeypatch):
-        # the bar's call i of dict_pivots streams rows of tier i - 1, and for a
-        # module generated in degree 1 the rows that reduce to zero number
-        # the off-diagonal entries H_{i-1,j}, j >= i + 1, of the table
+        # the bar's call i of dict_pivots streams rows of tier i - 1 that are
+        # not pivots at once, and for a module generated in degree 1 the rows
+        # that reduce to zero number the off-diagonal entries H_{i-1,j},
+        # j >= i + 1, of the table: the streamed rows less the new pivots,
+        # the keys outside the table of pivots taken at once
         calls = []
-        pivots = gf.dict_pivots
+        eliminate = gf.dict_pivots
 
-        def counted(vectors, p):
-            vectors = list(vectors)
-            got = pivots(vectors, p)
-            calls.append(len(vectors) - len(got))
+        def counted(vectors, p, bound=None, pivots=None):
+            vectors, at_once = list(vectors), set() if pivots is None else set(pivots.row)
+            got = eliminate(vectors, p, bound, pivots)
+            calls.append(len(vectors) - len(got.keys() - at_once))
             return got
 
         monkeypatch.setattr(gf, "dict_pivots", counted)
@@ -1032,6 +1034,96 @@ class TestBarArrays:
                     assert zero == sum(h for (t, j), h in dims.items() if t == i - 1 and j > i)
                 off += any(calls)
         assert off >= 60  # of the 600 tables, some with off-diagonal homology
+
+    def test_at_once_pivots_keep_the_ranks(self, monkeypatch):
+        # every tier's bottom-up pivots, the first row with each lead taken at
+        # once and the other rows reduced against them, are the pivots of all
+        # of d_i's rows in one plain elimination, so count its rank; some rows
+        # reduce through two or more at-once pivots before they end
+        eliminate, ranked = gf.dict_pivots, homology._bottom_up_pivots
+        complexes, chained = [], 0
+
+        class Watched(dict):
+            # every lookup of a lead outside the new pivots, by streamed row
+            def __init__(self, table, hits):
+                super().__init__()
+                self.table, self.hits = table, hits
+
+            def __missing__(self, lead):
+                self.hits[-1].append(lead)
+                return self.table[lead]
+
+        def watched(vectors, p, bound=None, pivots=None):
+            nonlocal chained
+            if pivots is None:
+                return eliminate(vectors, p, bound)
+            hits = []
+            marked = (hits.append([]) or v for v in vectors)
+            got = eliminate(marked, p, bound, Watched(pivots, hits))
+            chained += sum(len(set(row) & pivots.row.keys()) >= 2 for row in hits)
+            return got
+
+        def recorded(diffs, p):
+            got = ranked(diffs, p)
+            complexes.append((diffs, got, p))
+            return got
+
+        monkeypatch.setattr(gf, "dict_pivots", watched)
+        monkeypatch.setattr(homology, "_bottom_up_pivots", recorded)
+        rng = np.random.default_rng(41)
+        for k in range(88):
+            n, l = int(rng.integers(2, 5)), (2, 3, 5, 7)[k % 4]
+            mode = (SymmetryMode.COMMUTATIVE, SymmetryMode.SUPERCOMMUTATIVE)[k // 4 % 2]
+            a = degreewise_expand(random_presentation(random.Random(f"at-once:{k}"), l, mode, n,
+                                                      int(rng.integers(1, n + 1))), 4)
+            c = rng.integers(0, l, size=n)
+            c[rng.integers(n)] = 1
+            for m in (augmentation_module(a, a), ideal_module(a, c)):
+                assert not homology._monomial(a, m)
+                bar_tor_module(a, m, 4, 4)
+        lam = exterior_algebra(4, n_max=4)
+        for t in all_graphs(4):
+            a = graph_algebra(t, PrimeField(2), n_max=4)
+            bar_tor_module(a, augmentation_module(a, a), 4, 4)
+            bar_tor_module(lam, augmentation_module(a, lam), 4, 4)
+        for l in (2, 3, 5):
+            lam = exterior_algebra(4, l=l, n_max=4)
+            for m in (augmentation_module(lam, lam), ideal_module(lam, np.arange(1, 5) % l)):
+                koszul_tor_module(lam, m, 4, 4)
+        assert len(complexes) >= 300 and chained >= 500
+        for diffs, got, p in complexes:
+            for diff, piv in zip(diffs, got):
+                assert piv == eliminate(homology._stream(*diff), p).keys()
+
+    def test_few_rows_stream_into_reduction(self, monkeypatch):
+        # the cost of the bar's ranks: on generic commutative algebras with 4
+        # generators and 3 relations at l = 3, through (5, 5), the rows that
+        # are not pivots at once number 53 to 81 per table at seeds 0-11; with
+        # the tiers in the order `_bar_tiers` builds them they number 1155 to
+        # 1910, and all 2375 rows outside the lower pivots streamed before
+        # any row was taken at once
+        eliminate, streamed, per_table = gf.dict_pivots, [0], []
+
+        def counted(vectors, *args, **kwargs):
+            vectors = list(vectors)
+            streamed[0] += len(vectors)
+            return eliminate(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(gf, "dict_pivots", counted)
+        order = gen_order(4)
+        nq = len(normal_monomials(order, 2, SymmetryMode.COMMUTATIVE))
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 5])
+            while True:
+                a = degreewise_expand(QuadraticPresentation(
+                    PrimeField(3), SymmetryMode.COMMUTATIVE, order,
+                    rng.integers(0, 3, size=(3, nq))), 5)
+                if list(a.dims) == [1, 4, 7, 8, 8, 8]:
+                    break
+            before = streamed[0]
+            bar_tor_algebra(a, 5, 5)
+            per_table.append(streamed[0] - before)
+        assert max(per_table) <= 150, per_table
 
     def test_differentials_have_ascending_columns_in_each_row(self, monkeypatch):
         # the order `_bottom_up_pivots` counts on for its cost: rows streamed
