@@ -389,8 +389,10 @@ def _bottom_up_pivots(diffs: list[tuple], p: int) -> list[set[int]]:
         keep = np.diff(ptr) > 0
         keep[list(out[-1])] = False
         rows = np.flatnonzero(keep)
-        rows = rows[np.argsort(cols[ptr[rows + 1] - 1], kind="stable")]
-        first = np.diff(last := cols[ptr[rows + 1] - 1], prepend=-1) > 0
+        last = cols[ptr[rows + 1] - 1]
+        order = np.argsort(last, kind="stable")
+        rows, last = rows[order], last[order]
+        first = np.diff(last, prepend=-1) > 0
         table, rest = _FirstRows((ptr, cols, vals), last[first], rows[first], p), rows[~first]
         at = _ragged(ptr[rest], count := ptr[rest + 1] - ptr[rest])
         # the keys alone, so that no tier's pivot vectors outlive its elimination
